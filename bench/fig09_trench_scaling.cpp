@@ -6,7 +6,7 @@
 // Scale substitution: the paper runs a 2.5M-element mesh on 16-128 Piz Daint
 // nodes; we run a ~74k mesh on 2-16 simulated nodes (1:8 node scale, 1:34
 // mesh scale), keeping per-rank element counts in a comparable range. The
-// cluster is the discrete-event simulator of src/runtime (see DESIGN.md).
+// cluster is the discrete-event simulator of src/runtime/sim_cluster.hpp.
 
 #include <iostream>
 

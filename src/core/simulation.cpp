@@ -54,6 +54,15 @@ std::string to_string(const SimulationConfig& cfg) {
   return os.str();
 }
 
+SimulationConfig effective_config(SimulationConfig cfg) {
+  constexpr std::string_view kThreaded = "threaded/";
+  if (cfg.executor.starts_with(kThreaded))
+    if (const auto mode =
+            runtime::parse_scheduler_mode(std::string_view(cfg.executor).substr(kThreaded.size())))
+      cfg.scheduler.mode = *mode;
+  return cfg;
+}
+
 bool try_simulation_config_key(SimulationConfig& cfg, std::string_view key,
                                std::string_view value) {
   if (key == "order") {
@@ -127,7 +136,7 @@ SimulationConfig parse_simulation_config(std::string_view text) {
 }
 
 WaveSimulation::WaveSimulation(mesh::HexMesh mesh, SimulationConfig cfg)
-    : cfg_(std::move(cfg)), mesh_(std::move(mesh)) {
+    : cfg_(effective_config(std::move(cfg))), mesh_(std::move(mesh)) {
   auto& factory = ExecutorFactory::instance();
   executor_name_ = resolve_executor_name(cfg_);
 

@@ -88,6 +88,13 @@ struct SimulationConfig {
 /// family) print only when set, so default configs keep this exact string.
 [[nodiscard]] std::string to_string(const SimulationConfig& cfg);
 
+/// `cfg` as it runs: a "threaded/<mode>" executor name decides the
+/// scheduler mode (the legacy scheduler.mode field does not), so that mode
+/// is copied into scheduler.mode; any other config comes back unchanged. The
+/// facade keeps its config in this form, so run reports and checkpoints echo
+/// the mode that actually ran.
+[[nodiscard]] SimulationConfig effective_config(SimulationConfig cfg);
+
 /// Applies one `key=value` setting to `cfg`. Returns false when `key` is not
 /// a SimulationConfig key (bad values for known keys still throw, with a
 /// message listing the accepted spellings). Accepts both the dotted keys

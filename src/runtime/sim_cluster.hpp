@@ -10,8 +10,10 @@
 /// any level therefore turns directly into stall time — the phenomenon of the
 /// paper's Fig. 1 — and communication costs follow the machine model.
 ///
-/// This substitutes for the paper's Piz Daint runs (no cluster available in
-/// this environment); see DESIGN.md for the substitution rationale.
+/// This substitutes for the paper's Piz Daint runs: the machine model
+/// (runtime/machine.hpp) stands in for their nodes and interconnect, so the
+/// figures built on it (bench/fig09-fig13) reproduce scaling trends and
+/// stall/communication shares, not absolute Piz Daint times.
 
 #include "runtime/comm_graph.hpp"
 #include "runtime/machine.hpp"

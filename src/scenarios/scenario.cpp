@@ -82,7 +82,7 @@ core::SimulationConfig ScenarioSpec::config() const {
   cfg.integrator = integrator;
   cfg.health_every = health_every;
   cfg.fault = fault;
-  return cfg;
+  return core::effective_config(std::move(cfg));
 }
 
 real_t ScenarioSpec::coarse_dt(const mesh::HexMesh& m) const {
@@ -188,7 +188,7 @@ void ScenarioSpec::apply_override(std::string_view key, std::string_view value) 
     // A config key whose field is missing from the copy-back above (or from
     // config()) would otherwise parse fine and silently do nothing — fail
     // loudly at first use instead.
-    LTS_CHECK_MSG(config() == cfg, "ScenarioSpec dropped the effect of '"
+    LTS_CHECK_MSG(config() == core::effective_config(cfg), "ScenarioSpec dropped the effect of '"
                                        << key << "' — a SimulationConfig field is missing from "
                                        << "apply_override's copy-back or config()");
     return;

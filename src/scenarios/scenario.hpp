@@ -187,7 +187,8 @@ struct ScenarioSpec {
   /// Generator mesh with the material regions painted on.
   [[nodiscard]] mesh::HexMesh build_mesh() const;
 
-  /// The SimulationConfig this scenario describes.
+  /// The SimulationConfig this scenario describes, as it runs
+  /// (core::effective_config: a threaded executor name sets scheduler.mode).
   [[nodiscard]] core::SimulationConfig config() const;
 
   /// Coarse LTS step of this scenario on `m` (independent of the executor).

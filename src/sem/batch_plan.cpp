@@ -3,10 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <tuple>
 #include <utility>
-
-#include "graph/csr_graph.hpp"
 
 namespace ltswave::sem {
 
@@ -59,67 +56,119 @@ real_t metric_scale(const real_t* data, int nplanes, int npts) {
   return std::max(scale, real_t{1e-300});
 }
 
-/// Bins `elems` into groups of at most `width` pairwise node-disjoint
-/// elements: first-fit over the node-sharing conflict graph, in the caller's
-/// element order (deterministic — no hashing, no randomized tie-breaks). Two
-/// elements conflict when any global node appears in both of their
-/// local-to-global maps; elements of one bin therefore write disjoint global
-/// rows and the block scatter needs no lane-vs-lane conflict handling.
-std::vector<std::vector<index_t>> bin_conflict_free(const SemSpace& space,
-                                                    std::span<const index_t> elems, int width) {
-  const auto n = static_cast<index_t>(elems.size());
-  std::vector<std::vector<index_t>> bins;
-  if (n == 0) return bins;
+/// True when element e's metrics factor exactly as the compact affine form
+/// stores them: acoustic G(q) = w3[q] * C, elastic Jinv(q) = const and
+/// wdet*Jinv(q) = w3[q] * C'. `scratch` holds 18 * npts values.
+bool elem_affine(const SemSpace& space, int ncomp, index_t e, const real_t* w3,
+                 real_t* scratch) {
   const int npts = space.nodes_per_elem();
+  bool affine = true;
+  if (ncomp == 1) {
+    real_t* g = scratch; // 6 SoA planes of npts
+    space.element_metrics(e, nullptr, g, nullptr);
+    // Separability against w3 needs the weight scale divided out of the
+    // bound: g carries a factor w3[q], so compare at the constant's scale.
+    const real_t scale = metric_scale(g, 6, npts) / w3[0];
+    for (int p = 0; p < 6 && affine; ++p)
+      affine = plane_separable(g + p * npts, 1, npts, w3, scale);
+  } else {
+    real_t* ji = scratch;
+    real_t* wj = scratch + 9 * npts;
+    space.element_metrics(e, ji, nullptr, wj);
+    const real_t jscale = metric_scale(ji, 9, npts);
+    const real_t wscale = metric_scale(wj, 9, npts) / w3[0];
+    for (int p = 0; p < 9 && affine; ++p)
+      affine = plane_constant(ji + p, 9, npts, jscale) &&
+               plane_separable(wj + p, 9, npts, w3, wscale);
+  }
+  return affine;
+}
 
-  // Conflict edges via (global node, local element) incidence: sort by node,
-  // then every run of a shared node contributes its element pairs. A node of
-  // a conforming hex mesh is touched by at most 8 elements, so runs are tiny.
-  std::vector<std::pair<gindex_t, index_t>> touch;
-  touch.reserve(static_cast<std::size_t>(n) * static_cast<std::size_t>(npts));
+/// Bins `elems` into groups of at most `width` pairwise node-disjoint
+/// elements: first-fit in the caller's element order (deterministic — no
+/// hashing, no randomized tie-breaks). Two elements conflict when any global
+/// node appears in both of their local-to-global maps; elements of one bin
+/// therefore write disjoint global rows and the block scatter needs no
+/// lane-vs-lane conflict handling.
+///
+/// Linear in the segment's node incidences: a node -> element incidence
+/// list, built by counting sort over the segment's distinct nodes, holds
+/// each node's elements in segment order, so an element's conflicts with
+/// already-binned elements are the earlier entries on its nodes' lists.
+/// `node_slot` (one entry per global node, all -1 on entry) numbers the
+/// touched nodes densely and is restored to -1 before returning.
+std::vector<std::vector<index_t>> bin_conflict_free(const SemSpace& space,
+                                                    std::span<const index_t> elems, int width,
+                                                    std::vector<index_t>& node_slot) {
+  const auto n = static_cast<index_t>(elems.size());
+  const int npts = space.nodes_per_elem();
+  auto nodes_of = [&](index_t i) { return space.elem_nodes(elems[static_cast<std::size_t>(i)]); };
+
+  // Counting sort over the touched nodes: dense slot ids in first-touch
+  // order, incidence counts per slot, then each slot's element list filled in
+  // segment order. Every array is allocated once at its final size: growing
+  // them fragmented the heap across repeated plan builds and raised peak RSS.
+  index_t nslots = 0;
   for (index_t i = 0; i < n; ++i) {
-    const gindex_t* l2g = space.elem_nodes(elems[static_cast<std::size_t>(i)]);
-    for (int q = 0; q < npts; ++q) touch.emplace_back(l2g[q], i);
+    const gindex_t* l2g = nodes_of(i);
+    for (int q = 0; q < npts; ++q) {
+      index_t& slot = node_slot[static_cast<std::size_t>(l2g[q])];
+      if (slot < 0) slot = nslots++;
+    }
   }
-  std::sort(touch.begin(), touch.end());
-  std::vector<std::tuple<index_t, index_t, graph::weight_t>> edges;
-  for (std::size_t a = 0; a < touch.size();) {
-    std::size_t b = a + 1;
-    while (b < touch.size() && touch[b].first == touch[a].first) ++b;
-    for (std::size_t i = a; i < b; ++i)
-      for (std::size_t j = i + 1; j < b; ++j)
-        if (touch[i].second != touch[j].second)
-          edges.emplace_back(touch[i].second, touch[j].second, 1);
-    a = b;
+  const auto slot_of = [&](gindex_t g) {
+    return static_cast<std::size_t>(node_slot[static_cast<std::size_t>(g)]);
+  };
+  std::vector<index_t> start(static_cast<std::size_t>(nslots) + 1, 0);
+  for (index_t i = 0; i < n; ++i) {
+    const gindex_t* l2g = nodes_of(i);
+    for (int q = 0; q < npts; ++q) ++start[slot_of(l2g[q]) + 1];
   }
-  // graph_from_edges symmetrizes and merges duplicates (face-sharing pairs
-  // emit one edge per shared node).
-  const graph::CsrGraph g = graph::graph_from_edges(n, edges);
+  for (std::size_t s = 1; s < start.size(); ++s) start[s] += start[s - 1];
+  std::vector<index_t> incident(static_cast<std::size_t>(start.back()));
+  std::vector<index_t> cursor(start.begin(), start.end() - 1);
+  for (index_t i = 0; i < n; ++i) {
+    const gindex_t* l2g = nodes_of(i);
+    for (int q = 0; q < npts; ++q)
+      incident[static_cast<std::size_t>(cursor[slot_of(l2g[q])]++)] = i;
+  }
 
   // First-fit with capacity `width`. Strict color classes would strand
   // near-empty blocks per color; capacity-bounded bins keep blocks full while
-  // preserving the no-shared-row invariant.
+  // preserving the no-shared-row invariant. `open` lists the non-full bins in
+  // ascending order (full bins never reopen), so the scan skips them.
+  std::vector<std::vector<index_t>> bins;
   std::vector<index_t> bin_of(static_cast<std::size_t>(n), -1);
   std::vector<index_t> forbidden_at; // bin -> last element that forbade it
+  std::vector<index_t> open;
   for (index_t i = 0; i < n; ++i) {
-    for (const index_t nb : g.neighbors(i)) {
-      const index_t bn = bin_of[static_cast<std::size_t>(nb)];
-      if (bn >= 0) forbidden_at[static_cast<std::size_t>(bn)] = i;
-    }
-    index_t chosen = -1;
-    for (std::size_t bn = 0; bn < bins.size(); ++bn) {
-      if (forbidden_at[bn] != i && static_cast<int>(bins[bn].size()) < width) {
-        chosen = static_cast<index_t>(bn);
-        break;
+    const gindex_t* l2g = nodes_of(i);
+    for (int q = 0; q < npts; ++q) {
+      const std::size_t slot = slot_of(l2g[q]);
+      for (index_t t = start[slot]; t < start[slot + 1]; ++t) {
+        const index_t j = incident[static_cast<std::size_t>(t)];
+        if (j >= i) break; // later elements are not binned yet
+        forbidden_at[static_cast<std::size_t>(bin_of[static_cast<std::size_t>(j)])] = i;
       }
     }
-    if (chosen < 0) {
-      chosen = static_cast<index_t>(bins.size());
+    std::size_t k = 0;
+    while (k < open.size() && forbidden_at[static_cast<std::size_t>(open[k])] == i) ++k;
+    if (k == open.size()) {
+      open.push_back(static_cast<index_t>(bins.size()));
       bins.emplace_back();
       forbidden_at.push_back(-1);
     }
-    bins[static_cast<std::size_t>(chosen)].push_back(elems[static_cast<std::size_t>(i)]);
+    const index_t chosen = open[k];
+    auto& bin = bins[static_cast<std::size_t>(chosen)];
+    bin.push_back(elems[static_cast<std::size_t>(i)]);
     bin_of[static_cast<std::size_t>(i)] = chosen;
+    if (static_cast<int>(bin.size()) == width)
+      open.erase(open.begin() + static_cast<std::ptrdiff_t>(k));
+  }
+
+  for (index_t i = 0; i < n; ++i) {
+    const gindex_t* l2g = nodes_of(i);
+    for (int q = 0; q < npts; ++q) node_slot[static_cast<std::size_t>(l2g[q])] = -1;
   }
   return bins;
 }
@@ -136,30 +185,6 @@ std::vector<index_t> order_homogeneous_first(const SemSpace& space,
   return out;
 }
 
-bool BatchPlan::elem_affine(index_t e) const {
-  auto& cached = affine_cache_[static_cast<std::size_t>(e)];
-  if (cached != 0) return cached == 1;
-  const int npts = npts_;
-  bool affine = true;
-  if (ncomp_ == 1) {
-    const real_t* g = space_->gmat(e); // 6 SoA planes of npts
-    // Separability against w3 needs the weight scale divided out of the
-    // bound: g carries a factor w3[q], so compare at the constant's scale.
-    const real_t scale = metric_scale(g, 6, npts) / w3_[0];
-    for (int p = 0; p < 6 && affine; ++p)
-      affine = plane_separable(g + p * npts, 1, npts, w3_.data(), scale);
-  } else {
-    const real_t jscale = metric_scale(space_->jinv(e, 0), 9, npts);
-    const real_t wscale = metric_scale(space_->wjinv(e, 0), 9, npts) / w3_[0];
-    for (int p = 0; p < 9 && affine; ++p) {
-      affine = plane_constant(space_->jinv(e, 0) + p, 9, npts, jscale) &&
-               plane_separable(space_->wjinv(e, 0) + p, 9, npts, w3_.data(), wscale);
-    }
-  }
-  cached = affine ? 1 : 2;
-  return affine;
-}
-
 BatchPlan::BatchPlan(const SemSpace& space, int ncomp, std::vector<Group> groups, Fill fill,
                      Coloring coloring)
     : space_(&space),
@@ -170,7 +195,7 @@ BatchPlan::BatchPlan(const SemSpace& space, int ncomp, std::vector<Group> groups
   LTS_CHECK_MSG(ncomp_ == 1 || ncomp_ == 3, "BatchPlan ncomp must be 1 (acoustic) or 3 (elastic)");
 
   // The separable factor of the compact affine metric: the same 3D quadrature
-  // weight product build_geometry folded into the stored metrics.
+  // weight product SemSpace::element_metrics folds into wdet.
   const auto& w1 = space.ref().weights();
   const int n1 = space.ref().nodes_1d();
   w3_.resize(static_cast<std::size_t>(npts_));
@@ -180,7 +205,20 @@ BatchPlan::BatchPlan(const SemSpace& space, int ncomp, std::vector<Group> groups
         w3_[static_cast<std::size_t>((k * n1 + j) * n1 + i)] =
             w1[static_cast<std::size_t>(i)] * w1[static_cast<std::size_t>(j)] *
             w1[static_cast<std::size_t>(k)];
-  affine_cache_.assign(static_cast<std::size_t>(space.num_elems()), 0);
+  // Per-element affinity, evaluated once per element on first use (an
+  // element may sit in several groups).
+  // 0 unknown, 1 affine, 2 not.
+  std::vector<std::uint8_t> affine_of(static_cast<std::size_t>(space.num_elems()), 0);
+  std::vector<real_t> scratch(static_cast<std::size_t>(npts_) * 18);
+  const auto affine = [&](index_t e) {
+    auto& known = affine_of[static_cast<std::size_t>(e)];
+    if (known == 0) known = elem_affine(space, ncomp_, e, w3_.data(), scratch.data()) ? 1 : 2;
+    return known == 1;
+  };
+  // bin_conflict_free's node numbering scratch, all -1 between calls.
+  std::vector<index_t> node_slot(
+      coloring == Coloring::ConflictFree ? static_cast<std::size_t>(space.num_global_nodes()) : 0,
+      -1);
 
   // Metric words per block: compact lane constants for affine blocks, full
   // lane-interleaved planes otherwise.
@@ -209,7 +247,7 @@ BatchPlan::BatchPlan(const SemSpace& space, int ncomp, std::vector<Group> groups
     }
     blk.affine = true;
     for (int l = 0; l < blk.fill && blk.affine; ++l)
-      blk.affine = elem_affine(belems[static_cast<std::size_t>(l)]);
+      blk.affine = affine(belems[static_cast<std::size_t>(l)]);
     blk.metric_off = metric_count_;
     metric_count_ += blk.affine ? compact_words : full_words;
     for (int l = 0; l < width_; ++l)
@@ -241,7 +279,7 @@ BatchPlan::BatchPlan(const SemSpace& space, int ncomp, std::vector<Group> groups
       }
       for (const auto segment : {all.subspan(0, split), all.subspan(split)}) {
         if (segment.empty()) continue;
-        for (const auto& bin : bin_conflict_free(space, segment, width_))
+        for (const auto& bin : bin_conflict_free(space, segment, width_, node_slot))
           append_block(static_cast<index_t>(g), bin, /*conflict_free=*/true);
       }
     } else {
@@ -270,6 +308,8 @@ void BatchPlan::fill(index_t b0, index_t b1) {
   const int W = width_;
   const int npts = npts_;
   const std::size_t slab = slab_size();
+  // Per call, not per plan: fills of disjoint ranges may run concurrently.
+  std::vector<real_t> scratch(static_cast<std::size_t>(npts) * 18);
 
   for (index_t b = b0; b < b1; ++b) {
     const Block& blk = blocks_[static_cast<std::size_t>(b)];
@@ -295,52 +335,35 @@ void BatchPlan::fill(index_t b0, index_t b1) {
       }
     }
 
+    // Metrics are evaluated from the geometry per lane, straight into the
+    // block's lane-interleaved planes: plane p of the block at
+    // [p * slab + q * W + l]. Affine blocks keep the point-q0 constants.
     real_t* mt = metric_.get() + blk.metric_off;
-    if (ncomp_ == 1) {
-      if (blk.affine) {
-        // Compact: 6 lane-constant rows, C_p[l] = G_p(q0) / w3[q0].
-        for (int l = 0; l < W; ++l) {
-          const real_t* src = sp.gmat(elems[l]);
-          for (int p = 0; p < 6; ++p) mt[p * W + l] = src[p * npts] / w3_[0];
-        }
-      } else {
-        // Transpose each element's 6 SoA metric planes into lane-interleaved
-        // block planes: plane p of the block at [p][q*W + l].
-        for (int l = 0; l < W; ++l) {
-          const real_t* src = sp.gmat(elems[l]); // 6 planes of npts
-          for (int p = 0; p < 6; ++p)
-            for (int q = 0; q < npts; ++q)
-              mt[static_cast<std::size_t>(p) * slab + static_cast<std::size_t>(q * W + l)] =
-                  src[p * npts + q];
-        }
+    for (int l = 0; l < W; ++l) {
+      const index_t e = elems[l];
+      if (!blk.affine) {
+        const SemSpace::MetricOut out{mt + l, static_cast<std::size_t>(W), slab};
+        if (ncomp_ == 1)
+          sp.element_metrics(e, {}, out, {});
+        else
+          sp.element_metrics(e, out, {}, {mt + slab * 9 + l, static_cast<std::size_t>(W), slab});
+        continue;
       }
-    } else {
-      if (blk.affine) {
-        // Compact: Jinv constants then wdet*Jinv separable constants.
-        for (int l = 0; l < W; ++l) {
-          const real_t* jsrc = sp.jinv(elems[l], 0);
-          const real_t* wsrc = sp.wjinv(elems[l], 0);
-          for (int p = 0; p < 9; ++p) {
-            mt[p * W + l] = jsrc[p];
-            mt[(9 + p) * W + l] = wsrc[p] / w3_[0];
-          }
-        }
+      // Compact: lane-constant rows C_p[l] = metric_p(q0) / w3[q0] for the
+      // w3-separable planes (G, wdet*Jinv); the constant Jinv as is.
+      if (ncomp_ == 1) {
+        sp.element_metrics(e, nullptr, scratch.data(), nullptr);
+        for (std::size_t p = 0; p < 6; ++p)
+          mt[p * static_cast<std::size_t>(W) + static_cast<std::size_t>(l)] =
+              scratch[p * static_cast<std::size_t>(npts)] / w3_[0];
       } else {
-        // jinv/wjinv are stored per point as row-major 3x3 in the space; the
-        // block slabs hold them as 9 lane-interleaved planes each.
-        real_t* ji = mt;
-        real_t* wj = mt + slab * 9;
-        for (int l = 0; l < W; ++l) {
-          for (int q = 0; q < npts; ++q) {
-            const real_t* jsrc = sp.jinv(elems[l], q);
-            const real_t* wsrc = sp.wjinv(elems[l], q);
-            for (int p = 0; p < 9; ++p) {
-              ji[static_cast<std::size_t>(p) * slab + static_cast<std::size_t>(q * W + l)] =
-                  jsrc[p];
-              wj[static_cast<std::size_t>(p) * slab + static_cast<std::size_t>(q * W + l)] =
-                  wsrc[p];
-            }
-          }
+        real_t* ji = scratch.data();
+        real_t* wj = ji + 9 * npts;
+        sp.element_metrics(e, ji, nullptr, wj);
+        for (std::size_t p = 0; p < 9; ++p) {
+          mt[p * static_cast<std::size_t>(W) + static_cast<std::size_t>(l)] = ji[p];
+          mt[(9 + p) * static_cast<std::size_t>(W) + static_cast<std::size_t>(l)] =
+              wj[p] / w3_[0];
         }
       }
     }

@@ -36,15 +36,21 @@
 /// G(q) = w_q * C with one constant 6-tuple (respectively 9+9 for elastic)
 /// per element, so the kernel streams 6*W constants instead of 6*W*npts plane
 /// values — the apply's main-memory traffic collapses to the field gather and
-/// scatter. Affinity is detected numerically against the stored metrics with
-/// an ulp-level tolerance and falls back to full slabs, so the compact path
-/// is a pure bandwidth optimization (metric values agree to ~1e-14 relative,
-/// far inside every cross-path test tolerance).
+/// scatter. Affinity is detected numerically on the element's metrics
+/// (evaluated from the geometry, SemSpace::element_metrics) with an ulp-level
+/// tolerance and falls back to full slabs, so the compact path is a pure
+/// bandwidth optimization (metric values agree to ~1e-14 relative, far
+/// inside every cross-path test tolerance).
+///
+/// The plan's slabs are the only resident copy of the per-point metrics:
+/// SemSpace stores none, and fill() evaluates them per lane straight into
+/// the block planes.
 ///
 /// By default (Coloring::ConflictFree) the chunking is *conflict-free*: each
 /// group's elements are binned by first-fit over the element node-sharing
-/// conflict graph (built with the CSR graph layer), so no two real lanes of
-/// one block touch the same global mesh row. The scatter of such a block can
+/// conflicts (found through a node -> element incidence built by counting
+/// sort, linear in the group size), so no two real lanes of one block touch
+/// the same global mesh row. The scatter of such a block can
 /// then use SIMD indexed scatter-add with no lane-vs-lane conflict checking —
 /// within one q-row of the block, all gather indices are pairwise distinct.
 /// The binning is deterministic (first-fit over the caller's element order),
@@ -70,7 +76,9 @@
 /// fill(b0, b1), which under Fill::Deferred must be called exactly once per
 /// block, with disjoint ranges if called from several threads, and must
 /// happen-before any concurrent use of those blocks (the threaded runtime
-/// orders this with its startup barrier).
+/// orders this with its startup barrier). fill() only reads the space
+/// (element_metrics is const and thread-safe), so concurrent fills of
+/// disjoint ranges are safe.
 
 #include <cstdint>
 #include <memory>
@@ -127,6 +135,8 @@ public:
     return static_cast<index_t>(blocks_.size());
   }
   [[nodiscard]] std::size_t num_groups() const noexcept { return group_range_.size(); }
+  /// Group g as passed to the constructor (caller element order and level).
+  [[nodiscard]] const Group& group(std::size_t g) const { return groups_.at(g); }
   [[nodiscard]] BlockRange group_blocks(std::size_t g) const { return group_range_.at(g); }
 
   /// Real (unpadded) lanes of block b; padded lanes replicate the last real
@@ -204,7 +214,7 @@ public:
     return jinv_affine(b) + static_cast<std::size_t>(width_) * 9;
   }
 
-  /// Copies gather/metric/mask data into the slabs of blocks [b0, b1). With
+  /// Writes gather/metric/mask data into the slabs of blocks [b0, b1). With
   /// Fill::Deferred the owning thread calls this exactly once per block; the
   /// write is the first touch of those pages.
   void fill(index_t b0, index_t b1);
@@ -229,7 +239,6 @@ private:
   [[nodiscard]] std::size_t slab_offset(index_t b) const noexcept {
     return static_cast<std::size_t>(b) * slab_size();
   }
-  [[nodiscard]] bool elem_affine(index_t e) const;
 
   const SemSpace* space_;
   int ncomp_;
@@ -265,8 +274,7 @@ private:
   Arena<real_t> metric_;
   std::size_t mask_count_ = 0;
   std::size_t metric_count_ = 0;
-  std::vector<real_t> w3_;                  ///< 3D quadrature weights, npts
-  mutable std::vector<std::uint8_t> affine_cache_; ///< 0 unknown, 1 yes, 2 no
+  std::vector<real_t> w3_; ///< 3D quadrature weights, npts
 };
 
 /// Returns a copy of `elems` with the elements that are node-homogeneous at

@@ -14,11 +14,13 @@
 ///    orders and acts as the reference for cross-validation tests;
 ///
 ///  * fused metric tensors: the acoustic element apply consumes the symmetric
-///    3x3 matrix G = wdet * Jinv * Jinv^T (6 doubles per quadrature point,
-///    SemSpace::gmat), collapsing the former two 3x3 applies per point into a
-///    single symmetric apply. The elastic apply keeps Jinv for the
-///    displacement gradient but takes the flux through the precomputed
-///    product wdet * Jinv (SemSpace::wjinv);
+///    3x3 matrix G = wdet * Jinv * Jinv^T (6 doubles per quadrature point),
+///    collapsing the former two 3x3 applies per point into a single
+///    symmetric apply. The elastic apply keeps Jinv for the displacement
+///    gradient but takes the flux through the product wdet * Jinv. All three
+///    come from SemSpace::element_metrics: the single-element paths evaluate
+///    them per element into the workspace, the block paths read the copy a
+///    BatchPlan lays out;
 ///
 ///  * branch-free level masking: LevelMask precomputes, per element, either a
 ///    "homogeneous level" (all nodes share one LTS level — the vast majority
@@ -54,8 +56,8 @@ namespace kernels {
 ///  n1    : nodes per direction (ignored by specialized instantiations);
 ///  D     : collocation derivative matrix, row-major n1 x n1;
 ///  Dt    : its transpose;
-///  gmat  : fused metric planes for the element (6 planes of npts, see
-///          SemSpace::gmat);
+///  gmat  : fused metric planes for the element (6 planes of npts, the
+///          SemSpace::element_metrics layout);
 ///  ul    : gathered (possibly column-masked) field, npts;
 ///  out   : element contribution, npts (overwritten);
 ///  s1-s3 : scratch, npts each.
@@ -64,7 +66,8 @@ using AcousticElemFn = void (*)(int n1, const real_t* D, const real_t* Dt, const
                                 real_t* s2, real_t* s3);
 
 /// Full isotropic elastic element stiffness apply on local buffers.
-///  jinv  : inverse Jacobians, 9 per quadrature point (SemSpace::jinv layout);
+///  jinv  : inverse Jacobians, 9 per quadrature point (row-major 3x3, the
+///          SemSpace::element_metrics layout);
 ///  wjinv : wdet * jinv, 9 per quadrature point;
 ///  ul    : the three gathered displacement components, npts each;
 ///  out   : the three element contributions, npts each (overwritten);

@@ -56,6 +56,72 @@ std::pair<int, int> canonical_face_coord(const std::array<index_t, 4>& g, int a,
   return (g01 < g10) ? std::make_pair(N - a, N - b) : std::make_pair(N - b, N - a);
 }
 
+/// The trilinear map of hex element e in tensor-product form: with the
+/// monomial index m = bx | by << 1 | bz << 2,
+///   x(X,Y,Z) = sum_m a_m X^bx Y^by Z^bz
+///            = a0 + a1 X + a2 Y + a3 XY + a4 Z + a5 XZ + a6 YZ + a7 XYZ.
+/// The 8 coefficient vectors come from the corners (corner bit order
+/// matches m) by a 2-point sum/difference butterfly along each axis, scaled
+/// by 1/8. The corners are first taken relative to corner 0, so the
+/// butterfly works at the element's own scale instead of cancelling large
+/// absolute coordinates. A point then costs 27 FMAs for J instead of a sum
+/// over the 8 corner shape functions.
+class TrilinearMap {
+public:
+  TrilinearMap(const mesh::HexMesh& m, index_t e) {
+    const index_t* c = m.corners(e);
+    const real_t* x0 = m.node(c[0]);
+    for (std::size_t corner = 0; corner < 8; ++corner) {
+      const real_t* xc = m.node(c[corner]);
+      a_[corner] = {xc[0] - x0[0], xc[1] - x0[1], xc[2] - x0[2]};
+    }
+    for (std::size_t bit = 1; bit < 8; bit <<= 1)
+      for (std::size_t lo = 0; lo < 8; ++lo) {
+        if ((lo & bit) != 0) continue;
+        auto& lo_c = a_[lo];
+        auto& hi_c = a_[lo | bit];
+        for (std::size_t d = 0; d < 3; ++d) {
+          const real_t diff = hi_c[d] - lo_c[d];
+          lo_c[d] += hi_c[d];
+          hi_c[d] = diff;
+        }
+      }
+    for (auto& am : a_)
+      for (real_t& v : am) v *= 0.125;
+    for (std::size_t d = 0; d < 3; ++d) a_[0][d] += x0[d];
+  }
+
+  /// Physical position of reference point (X,Y,Z), written to x[0..2].
+  void position(real_t X, real_t Y, real_t Z, real_t* x) const {
+    for (std::size_t d = 0; d < 3; ++d)
+      x[d] = (a_[0][d] + a_[1][d] * X) + (a_[2][d] + a_[3][d] * X) * Y +
+             ((a_[4][d] + a_[5][d] * X) + (a_[6][d] + a_[7][d] * X) * Y) * Z;
+  }
+
+  /// Jacobian at (X,Y,Z): J[d][r] = d x_d / d xi_r. Loop-free, so a caller
+  /// looping over points vectorizes across them.
+  void jacobian(real_t X, real_t Y, real_t Z, real_t J[3][3]) const {
+    const real_t XY = X * Y, XZ = X * Z, YZ = Y * Z;
+    const auto row = [&](std::size_t d, real_t* Jd) {
+      Jd[0] = a_[1][d] + a_[3][d] * Y + a_[5][d] * Z + a_[7][d] * YZ;
+      Jd[1] = a_[2][d] + a_[3][d] * X + a_[6][d] * Z + a_[7][d] * XZ;
+      Jd[2] = a_[4][d] + a_[5][d] * X + a_[6][d] * Y + a_[7][d] * XY;
+    };
+    row(0, J[0]);
+    row(1, J[1]);
+    row(2, J[2]);
+  }
+
+private:
+  std::array<std::array<real_t, 3>, 8> a_;
+};
+
+inline real_t determinant(const real_t J[3][3]) {
+  return J[0][0] * (J[1][1] * J[2][2] - J[1][2] * J[2][1]) -
+         J[0][1] * (J[1][0] * J[2][2] - J[1][2] * J[2][0]) +
+         J[0][2] * (J[1][0] * J[2][1] - J[1][1] * J[2][0]);
+}
+
 } // namespace
 
 SemSpace::SemSpace(const mesh::HexMesh& m, int order) : mesh_(&m), ref_(order) {
@@ -189,21 +255,15 @@ void SemSpace::build_numbering() {
 
 void SemSpace::build_geometry() {
   const auto& m = *mesh_;
-  const int N = ref_.order();
   const int n1 = ref_.nodes_1d();
-  const int npts = ref_.nodes_per_elem();
-  const index_t ne = m.num_elems();
   const auto& xi = ref_.points();
   const auto& w = ref_.weights();
 
   coords_.assign(static_cast<std::size_t>(num_global_) * 3, 0.0);
-  jinv_.assign(static_cast<std::size_t>(ne) * npts * 9, 0.0);
-  gmat_.assign(static_cast<std::size_t>(ne) * 6 * npts, 0.0);
-  wjinv_.assign(static_cast<std::size_t>(ne) * npts * 9, 0.0);
   mass_.assign(static_cast<std::size_t>(num_global_), 0.0);
 
-  for (index_t e = 0; e < ne; ++e) {
-    const index_t* c = m.corners(e);
+  for (index_t e = 0; e < m.num_elems(); ++e) {
+    const TrilinearMap map(m, e);
     const gindex_t* l2g = elem_nodes(e);
     const real_t rho = m.material(e).rho;
     for (int k = 0; k < n1; ++k)
@@ -211,68 +271,18 @@ void SemSpace::build_geometry() {
         for (int i = 0; i < n1; ++i) {
           const int q = ref_.local_index(i, j, k);
           const real_t X = xi[static_cast<std::size_t>(i)], Y = xi[static_cast<std::size_t>(j)], Z = xi[static_cast<std::size_t>(k)];
-          // Trilinear map and its Jacobian from the 8 corners.
-          real_t pos[3] = {0, 0, 0};
-          real_t J[3][3] = {{0, 0, 0}, {0, 0, 0}, {0, 0, 0}};
-          for (int corner = 0; corner < 8; ++corner) {
-            const real_t sx = (corner & 1) ? 1.0 : -1.0;
-            const real_t sy = (corner & 2) ? 1.0 : -1.0;
-            const real_t sz = (corner & 4) ? 1.0 : -1.0;
-            const real_t fx = (1 + sx * X) / 2, fy = (1 + sy * Y) / 2, fz = (1 + sz * Z) / 2;
-            const real_t shape = fx * fy * fz;
-            const real_t dN[3] = {sx / 2 * fy * fz, fx * sy / 2 * fz, fx * fy * sz / 2};
-            const real_t* xc = m.node(c[corner]);
-            for (int d = 0; d < 3; ++d) {
-              pos[d] += shape * xc[d];
-              for (int r = 0; r < 3; ++r) J[d][r] += xc[d] * dN[r];
-            }
-          }
-          const real_t det = J[0][0] * (J[1][1] * J[2][2] - J[1][2] * J[2][1]) -
-                             J[0][1] * (J[1][0] * J[2][2] - J[1][2] * J[2][0]) +
-                             J[0][2] * (J[1][0] * J[2][1] - J[1][1] * J[2][0]);
+          real_t J[3][3];
+          map.jacobian(X, Y, Z, J);
+          const real_t det = determinant(J);
           LTS_CHECK_MSG(det > 0, "inverted element " << e << " at quad point " << q);
-          // inv(J): row r, col d = d xi_r / d x_d = cofactor(J)^T / det.
-          real_t* ji = jinv_.data() + (static_cast<std::size_t>(e) * npts + static_cast<std::size_t>(q)) * 9;
-          ji[0 * 3 + 0] = (J[1][1] * J[2][2] - J[1][2] * J[2][1]) / det;
-          ji[0 * 3 + 1] = (J[0][2] * J[2][1] - J[0][1] * J[2][2]) / det;
-          ji[0 * 3 + 2] = (J[0][1] * J[1][2] - J[0][2] * J[1][1]) / det;
-          ji[1 * 3 + 0] = (J[1][2] * J[2][0] - J[1][0] * J[2][2]) / det;
-          ji[1 * 3 + 1] = (J[0][0] * J[2][2] - J[0][2] * J[2][0]) / det;
-          ji[1 * 3 + 2] = (J[0][2] * J[1][0] - J[0][0] * J[1][2]) / det;
-          ji[2 * 3 + 0] = (J[1][0] * J[2][1] - J[1][1] * J[2][0]) / det;
-          ji[2 * 3 + 1] = (J[0][1] * J[2][0] - J[0][0] * J[2][1]) / det;
-          ji[2 * 3 + 2] = (J[0][0] * J[1][1] - J[0][1] * J[1][0]) / det;
-
           const real_t wq = w[static_cast<std::size_t>(i)] * w[static_cast<std::size_t>(j)] * w[static_cast<std::size_t>(k)];
-          // w*det is construction-scoped: the per-apply working set only ever
-          // sees it folded into gmat (acoustic) and wjinv (elastic), so no
-          // wdet array is kept resident — only the integrated volume.
-          const real_t wd = wq * det;
-          quad_volume_ += wd;
-
-          // Fused metrics for the kernel engine: the symmetric
-          // G = wdet * Jinv Jinv^T (six SoA planes per element, acoustic
-          // path) and wdet * Jinv (elastic flux factor).
-          real_t* gm = gmat_.data() + static_cast<std::size_t>(e) * 6 * npts;
-          int plane = 0;
-          for (int r = 0; r < 3; ++r)
-            for (int s = r; s < 3; ++s) {
-              gm[static_cast<std::size_t>(plane) * npts + static_cast<std::size_t>(q)] =
-                  wd * (ji[r * 3] * ji[s * 3] + ji[r * 3 + 1] * ji[s * 3 + 1] +
-                        ji[r * 3 + 2] * ji[s * 3 + 2]);
-              ++plane;
-            }
-          real_t* wj = wjinv_.data() + (static_cast<std::size_t>(e) * npts + static_cast<std::size_t>(q)) * 9;
-          for (int t = 0; t < 9; ++t) wj[t] = wd * ji[t];
+          quad_volume_ += wq * det;
 
           const gindex_t g = l2g[q];
-          coords_[static_cast<std::size_t>(g) * 3 + 0] = pos[0];
-          coords_[static_cast<std::size_t>(g) * 3 + 1] = pos[1];
-          coords_[static_cast<std::size_t>(g) * 3 + 2] = pos[2];
+          map.position(X, Y, Z, coords_.data() + static_cast<std::size_t>(g) * 3);
           mass_[static_cast<std::size_t>(g)] += rho * wq * det;
         }
   }
-  (void)N;
 
   inv_mass_.resize(mass_.size());
   for (std::size_t g = 0; g < mass_.size(); ++g) {
@@ -281,6 +291,89 @@ void SemSpace::build_geometry() {
   }
 
   build_node_grid();
+}
+
+void SemSpace::element_metrics(index_t e, MetricOut jinv, MetricOut gmat, MetricOut wjinv) const {
+  // Quadrature points are evaluated kLanes at a time (in local-index order)
+  // into lane arrays, so the per-point arithmetic vectorizes; padded lanes
+  // of the last chunk repeat its last point and are never stored.
+  constexpr int kLanes = 8;
+  const TrilinearMap map(*mesh_, e);
+  const int n1 = ref_.nodes_1d();
+  const int npts = ref_.nodes_per_elem();
+  const auto& xi = ref_.points();
+  const auto& w = ref_.weights();
+  std::size_t i = 0, j = 0, k = 0; // (i,j,k) of the next point, q = i + n1 (j + n1 k)
+  for (int q0 = 0; q0 < npts; q0 += kLanes) {
+    const int count = std::min(kLanes, npts - q0);
+    real_t X[kLanes], Y[kLanes], Z[kLanes], wq[kLanes];
+    for (int l = 0; l < count; ++l) {
+      X[l] = xi[i];
+      Y[l] = xi[j];
+      Z[l] = xi[k];
+      wq[l] = w[i] * w[j] * w[k];
+      if (++i == static_cast<std::size_t>(n1)) {
+        i = 0;
+        if (++j == static_cast<std::size_t>(n1)) {
+          j = 0;
+          ++k;
+        }
+      }
+    }
+    for (int l = count; l < kLanes; ++l) {
+      X[l] = X[count - 1];
+      Y[l] = Y[count - 1];
+      Z[l] = Z[count - 1];
+      wq[l] = wq[count - 1];
+    }
+
+    real_t ji[9][kLanes], wd[kLanes];
+    for (int l = 0; l < kLanes; ++l) {
+      real_t J[3][3];
+      map.jacobian(X[l], Y[l], Z[l], J);
+      const real_t det = determinant(J);
+      // inv(J): row r, col d = d xi_r / d x_d = cofactor(J)^T / det.
+      const real_t inv = 1 / det;
+      ji[0][l] = (J[1][1] * J[2][2] - J[1][2] * J[2][1]) * inv;
+      ji[1][l] = (J[0][2] * J[2][1] - J[0][1] * J[2][2]) * inv;
+      ji[2][l] = (J[0][1] * J[1][2] - J[0][2] * J[1][1]) * inv;
+      ji[3][l] = (J[1][2] * J[2][0] - J[1][0] * J[2][2]) * inv;
+      ji[4][l] = (J[0][0] * J[2][2] - J[0][2] * J[2][0]) * inv;
+      ji[5][l] = (J[0][2] * J[1][0] - J[0][0] * J[1][2]) * inv;
+      ji[6][l] = (J[1][0] * J[2][1] - J[1][1] * J[2][0]) * inv;
+      ji[7][l] = (J[0][1] * J[2][0] - J[0][0] * J[2][1]) * inv;
+      ji[8][l] = (J[0][0] * J[1][1] - J[0][1] * J[1][0]) * inv;
+      wd[l] = wq[l] * det;
+    }
+
+    const auto store = [count, q0](const MetricOut& out, std::size_t p, const real_t* v) {
+      for (int l = 0; l < count; ++l)
+        out.data[p * out.plane + static_cast<std::size_t>(q0 + l) * out.point] = v[l];
+    };
+    real_t v[kLanes];
+    if (jinv.data != nullptr)
+      for (std::size_t p = 0; p < 9; ++p) store(jinv, p, ji[p]);
+    if (gmat.data != nullptr) {
+      std::size_t p = 0;
+      for (int r = 0; r < 3; ++r)
+        for (int s = r; s < 3; ++s, ++p) {
+          for (int l = 0; l < kLanes; ++l)
+            v[l] = wd[l] * (ji[r * 3][l] * ji[s * 3][l] + ji[r * 3 + 1][l] * ji[s * 3 + 1][l] +
+                            ji[r * 3 + 2][l] * ji[s * 3 + 2][l]);
+          store(gmat, p, v);
+        }
+    }
+    if (wjinv.data != nullptr)
+      for (std::size_t p = 0; p < 9; ++p) {
+        for (int l = 0; l < kLanes; ++l) v[l] = wd[l] * ji[p][l];
+        store(wjinv, p, v);
+      }
+  }
+}
+
+void SemSpace::element_metrics(index_t e, real_t* jinv, real_t* gmat, real_t* wjinv) const {
+  const auto npts = static_cast<std::size_t>(nodes_per_elem());
+  element_metrics(e, {jinv, 9, 1}, {gmat, 1, npts}, {wjinv, 9, 1});
 }
 
 void SemSpace::build_node_grid() {

@@ -3,14 +3,17 @@
 /// \file sem_space.hpp
 /// Global spectral-element discretization of a conforming hex mesh:
 /// continuous global GLL-node numbering (vertex/edge/face/interior entities),
-/// per-quadrature-point geometric factors, and the diagonal (lumped) global
-/// mass matrix (paper Sec. I-B).
+/// node coordinates, the diagonal (lumped) global mass matrix (paper
+/// Sec. I-B), and per-quadrature-point geometric factors evaluated on demand
+/// (element_metrics). The space keeps no per-point metrics resident: the
+/// production applies read the copy a BatchPlan lays out for its kernels.
 ///
 /// Unlike DG codes, the SEM *shares* nodes between neighbouring elements; this
 /// sharing is exactly what complicates LTS (paper Sec. II-C) and what the
 /// level/halo machinery in src/core handles.
 
 #include <array>
+#include <cstddef>
 #include <vector>
 
 #include "mesh/hex_mesh.hpp"
@@ -21,7 +24,8 @@ namespace ltswave::sem {
 class SemSpace {
 public:
   /// Builds the discretization. Throws if an element's trilinear geometry is
-  /// inverted (non-positive Jacobian at a quadrature point).
+  /// inverted (non-positive Jacobian at a quadrature point) or a lumped mass
+  /// is not positive.
   SemSpace(const mesh::HexMesh& mesh, int order);
 
   [[nodiscard]] const mesh::HexMesh& mesh() const noexcept { return *mesh_; }
@@ -48,26 +52,32 @@ public:
   /// search, so source/receiver placement stays fast on large meshes.
   [[nodiscard]] gindex_t nearest_node(std::array<real_t, 3> x) const;
 
-  /// Inverse Jacobian at quadrature point q of element e, row-major 3x3 with
-  /// entry (r,d) = d xi_r / d x_d.
-  [[nodiscard]] const real_t* jinv(index_t e, int q) const {
-    return jinv_.data() + (static_cast<std::size_t>(e) * static_cast<std::size_t>(nodes_per_elem()) + static_cast<std::size_t>(q)) * 9;
-  }
+  /// Destination of one metric in element_metrics: entry (plane p, point q)
+  /// lands at data[p * plane + q * point]; a null `data` skips the metric.
+  struct MetricOut {
+    real_t* data = nullptr;
+    std::size_t point = 0; ///< stride between quadrature points
+    std::size_t plane = 0; ///< stride between metric entries (planes)
+  };
 
-  /// Fused symmetric metric for the acoustic kernel: per quadrature point the
-  /// matrix G = wdet * Jinv * Jinv^T (entry (r,s) = wdet * sum_d
-  /// jinv[r][d] jinv[s][d]). Stored per element as six SoA planes of
-  /// nodes_per_elem() values in the order G00, G01, G02, G11, G12, G22, so
-  /// the per-point symmetric apply streams six contiguous arrays.
-  [[nodiscard]] const real_t* gmat(index_t e) const {
-    return gmat_.data() + static_cast<std::size_t>(e) * 6 * static_cast<std::size_t>(nodes_per_elem());
-  }
+  /// Geometric factors of element e at all nodes_per_elem() quadrature
+  /// points, evaluated on demand from the element's trilinear map in
+  /// tensor-product form (nothing per point is stored). Three metrics:
+  ///  * jinv  — 9 planes, the inverse Jacobian in row-major (r,d) order,
+  ///    entry (r,d) = d xi_r / d x_d (the elastic gradient factor);
+  ///  * gmat  — 6 planes, the fused symmetric acoustic metric
+  ///    G = wdet * Jinv * Jinv^T in the order G00, G01, G02, G11, G12, G22;
+  ///  * wjinv — 9 planes, wdet * Jinv (the elastic flux factor);
+  /// with wdet = w_i w_j w_k det J the quadrature weight of the point. The
+  /// strides let a caller write straight into its own layout, e.g. a
+  /// BatchPlan's lane-interleaved slabs. Const and free of shared mutable
+  /// state, so any number of threads may call it concurrently.
+  void element_metrics(index_t e, MetricOut jinv, MetricOut gmat, MetricOut wjinv) const;
 
-  /// wdet * Jinv at quadrature point q of element e (row-major 3x3), the
-  /// precomputed flux factor for the elastic kernel.
-  [[nodiscard]] const real_t* wjinv(index_t e, int q) const {
-    return wjinv_.data() + (static_cast<std::size_t>(e) * static_cast<std::size_t>(nodes_per_elem()) + static_cast<std::size_t>(q)) * 9;
-  }
+  /// element_metrics in the single-element kernel layouts: jinv and wjinv
+  /// as npts row-major 3x3 blocks (9 * npts values), gmat as 6 SoA planes of
+  /// npts values. Any pointer may be null.
+  void element_metrics(index_t e, real_t* jinv, real_t* gmat, real_t* wjinv) const;
 
   /// Diagonal global mass matrix (length num_global_nodes()); strictly
   /// positive. Shared by all field components.
@@ -89,13 +99,6 @@ private:
   std::vector<gindex_t> local_to_global_;
   gindex_t num_global_ = 0;
   std::vector<real_t> coords_; // 3 * num_global_
-  // Per-apply geometric working set. The raw quadrature factor w*det is
-  // construction-scoped: nothing reads it after the fused products below are
-  // built (the acoustic path streams gmat, the elastic path jinv + wjinv), so
-  // it is not stored — only its sum (quad_volume_) survives for sanity tests.
-  std::vector<real_t> jinv_;   // nelem * npts * 9 (elastic gradient factor)
-  std::vector<real_t> gmat_;   // nelem * 6 * npts (SoA planes per element)
-  std::vector<real_t> wjinv_;  // nelem * npts * 9 (elastic flux factor)
   std::vector<real_t> mass_;
   std::vector<real_t> inv_mass_;
   real_t quad_volume_ = 0;

@@ -13,9 +13,12 @@ KernelWorkspace::KernelWorkspace(const SemSpace& space, int ncomp) {
   // per (order, block width) and reused across every level and apply.
   stride_ = width * ((npts + 7u) & ~std::size_t{7u});
   // Buffers: acoustic needs gather + output + 3 scratch slabs (5); elastic
-  // needs 3 gathers + 9 gradient/flux slabs + 3 outputs (15). One slack slab
-  // each, plus 8 doubles so the base can be rounded up to a 64-byte boundary.
-  buf_.assign(stride_ * static_cast<std::size_t>(ncomp == 1 ? 6 : 16) + 8u, 0.0);
+  // needs 3 gathers + 9 gradient/flux slabs + 3 outputs (15). Then the
+  // element metrics (6 or 18 planes of npts), and 8 doubles so the base can
+  // be rounded up to a 64-byte boundary.
+  num_buffers_ = ncomp == 1 ? 5 : 15;
+  const std::size_t metric_words = npts * (ncomp == 1 ? 6u : 18u);
+  buf_.assign(stride_ * static_cast<std::size_t>(num_buffers_) + metric_words + 8u, 0.0);
 }
 
 namespace {
@@ -72,10 +75,13 @@ void AcousticOperator::apply_impl(std::span<const index_t> elems, real_t* out,
   real_t* s2 = ws.buffer(3);
   real_t* s3 = ws.buffer(4);
 
+  real_t* gmat = ws.metrics();
+
   for (index_t e : elems) {
     const gindex_t* l2g = sp.elem_nodes(e);
     if (!gather(e, l2g, ul)) continue;
-    kernel_(n1, D, Dt, sp.gmat(e), kappa_[static_cast<std::size_t>(e)], ul, ol, s1, s2, s3);
+    sp.element_metrics(e, nullptr, gmat, nullptr);
+    kernel_(n1, D, Dt, gmat, kappa_[static_cast<std::size_t>(e)], ul, ol, s1, s2, s3);
     for (int q = 0; q < npts; ++q) out[l2g[q]] += ol[q];
   }
 }
@@ -207,16 +213,20 @@ void ElasticOperator::apply_impl(std::span<const index_t> elems, real_t* out,
   const real_t* Dt = sp.ref().deriv_matrix_t().data();
 
   // Buffer layout: gather (buffers 0..2), ref-gradients / fluxes (3..11),
-  // output (12..14) — 15 of the 16 elastic workspace buffers.
+  // output (12..14), then the element's metrics.
   real_t* ul[3] = {ws.buffer(0), ws.buffer(1), ws.buffer(2)};
   real_t* gr[9];
   for (int b = 0; b < 9; ++b) gr[b] = ws.buffer(3 + b);
   real_t* ol[3] = {ws.buffer(12), ws.buffer(13), ws.buffer(14)};
 
+  real_t* jinv = ws.metrics();
+  real_t* wjinv = jinv + static_cast<std::size_t>(npts) * 9;
+
   for (index_t e : elems) {
     const gindex_t* l2g = sp.elem_nodes(e);
     if (!gather(e, l2g, ul)) continue;
-    kernel_(n1, D, Dt, sp.jinv(e, 0), sp.wjinv(e, 0), lambda_[static_cast<std::size_t>(e)],
+    sp.element_metrics(e, jinv, nullptr, wjinv);
+    kernel_(n1, D, Dt, jinv, wjinv, lambda_[static_cast<std::size_t>(e)],
             mu_[static_cast<std::size_t>(e)], ul, ol, gr);
     for (int q = 0; q < npts; ++q) {
       const std::size_t b = static_cast<std::size_t>(l2g[q]) * 3;
@@ -297,8 +307,7 @@ void ElasticOperator::apply_add_blocks(const BatchPlan& plan, index_t b0, index_
   const real_t* D = sp.ref().deriv_matrix().data();
 
   // Buffer layout as in the single-element path: gathers 0..2, gradients /
-  // fluxes 3..11, outputs 12..14 — each now a full block slab (the elastic
-  // workspace allocates 16, leaving one slack slab).
+  // fluxes 3..11, outputs 12..14 — each now a full block slab.
   real_t* ul[3] = {ws.buffer(0), ws.buffer(1), ws.buffer(2)};
   real_t* gr[9];
   for (int b = 0; b < 9; ++b) gr[b] = ws.buffer(3 + b);

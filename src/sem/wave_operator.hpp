@@ -47,7 +47,9 @@ namespace ltswave::sem {
 /// re-derivation. The backing store is over-allocated so that buffer(0)
 /// starts on a 64-byte boundary; the per-buffer stride is a whole number of
 /// cache lines (block slabs are W*npts doubles with W a multiple of 8), so
-/// every block slab stays 64-byte aligned.
+/// every block slab stays 64-byte aligned. Past the kernel buffers sits one
+/// element's metrics (SemSpace::element_metrics in the single-element kernel
+/// layout), which the per-element applies evaluate per element.
 class KernelWorkspace {
 public:
   explicit KernelWorkspace(const SemSpace& space, int ncomp);
@@ -56,6 +58,10 @@ public:
     return aligned_base() + static_cast<std::size_t>(which) * stride_;
   }
 
+  /// One element's metrics: 6 * npts values (acoustic gmat) or 18 * npts
+  /// (elastic jinv then wjinv).
+  [[nodiscard]] real_t* metrics() noexcept { return buffer(num_buffers_); }
+
 private:
   [[nodiscard]] real_t* aligned_base() noexcept {
     auto p = reinterpret_cast<std::uintptr_t>(buf_.data());
@@ -63,6 +69,7 @@ private:
   }
 
   std::size_t stride_;
+  int num_buffers_;
   std::vector<real_t> buf_;
 };
 

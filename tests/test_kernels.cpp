@@ -22,12 +22,17 @@
 #include <cmath>
 #include <memory>
 #include <set>
+#include <tuple>
 
 #include "common/rng.hpp"
 #include "core/energy.hpp"
 #include "core/lts_levels.hpp"
 #include "core/lts_newmark.hpp"
+#include "core/simulation.hpp"
+#include "graph/csr_graph.hpp"
 #include "mesh/generators.hpp"
+#include "runtime/threaded_lts.hpp"
+#include "scenarios/scenario.hpp"
 #include "sem/batch_plan.hpp"
 #include "sem/wave_operator.hpp"
 
@@ -318,6 +323,122 @@ TEST(Kernels, ConflictFreeBinningPermutesButCoversTheGroup) {
   // Coloring::None keeps the legacy dense layout and reports no guarantee.
   for (index_t b = 0; b < strided.num_blocks(); ++b)
     EXPECT_FALSE(strided.block_conflict_free(b));
+}
+
+/// Oracle for the conflict-free binning: first-fit over the explicit
+/// element conflict graph (every pair of elements sharing a global node,
+/// merged by graph::graph_from_edges), the formulation the plan's linear-time
+/// node -> element incidence must reproduce bin for bin.
+std::vector<std::vector<index_t>> oracle_conflict_bins(const SemSpace& space,
+                                                       std::span<const index_t> elems,
+                                                       int width) {
+  const auto n = static_cast<index_t>(elems.size());
+  const int npts = space.nodes_per_elem();
+  std::vector<std::pair<gindex_t, index_t>> touch;
+  for (index_t i = 0; i < n; ++i) {
+    const gindex_t* l2g = space.elem_nodes(elems[static_cast<std::size_t>(i)]);
+    for (int q = 0; q < npts; ++q) touch.emplace_back(l2g[q], i);
+  }
+  std::sort(touch.begin(), touch.end());
+  std::vector<std::tuple<index_t, index_t, graph::weight_t>> edges;
+  for (std::size_t a = 0; a < touch.size();) {
+    std::size_t b = a + 1;
+    while (b < touch.size() && touch[b].first == touch[a].first) ++b;
+    for (std::size_t i = a; i < b; ++i)
+      for (std::size_t j = i + 1; j < b; ++j)
+        if (touch[i].second != touch[j].second)
+          edges.emplace_back(touch[i].second, touch[j].second, 1);
+    a = b;
+  }
+  const graph::CsrGraph g = graph::graph_from_edges(n, edges);
+
+  std::vector<std::vector<index_t>> bins;
+  std::vector<index_t> bin_of(static_cast<std::size_t>(n), -1);
+  std::vector<index_t> forbidden_at;
+  for (index_t i = 0; i < n; ++i) {
+    for (const index_t nb : g.neighbors(i)) {
+      const index_t bn = bin_of[static_cast<std::size_t>(nb)];
+      if (bn >= 0) forbidden_at[static_cast<std::size_t>(bn)] = i;
+    }
+    index_t chosen = -1;
+    for (std::size_t bn = 0; bn < bins.size(); ++bn)
+      if (forbidden_at[bn] != i && static_cast<int>(bins[bn].size()) < width) {
+        chosen = static_cast<index_t>(bn);
+        break;
+      }
+    if (chosen < 0) {
+      chosen = static_cast<index_t>(bins.size());
+      bins.emplace_back();
+      forbidden_at.push_back(-1);
+    }
+    bins[static_cast<std::size_t>(chosen)].push_back(elems[static_cast<std::size_t>(i)]);
+    bin_of[static_cast<std::size_t>(i)] = chosen;
+  }
+  return bins;
+}
+
+/// Checks every group of a conflict-free plan against the oracle: masked
+/// groups bin their homogeneous prefix and the rest separately, in order.
+void expect_bins_match_oracle(const BatchPlan& plan, const std::string& what) {
+  const SemSpace& space = plan.space();
+  ASSERT_GT(plan.num_groups(), 1u) << what;
+  for (std::size_t gi = 0; gi < plan.num_groups(); ++gi) {
+    const auto& grp = plan.group(gi);
+    const std::span<const index_t> all(grp.elems);
+    std::size_t split = all.size();
+    if (grp.level > 0) {
+      const auto homogeneous = [&](index_t e) {
+        const gindex_t* l2g = space.elem_nodes(e);
+        for (int q = 0; q < space.nodes_per_elem(); ++q)
+          if (grp.node_level[static_cast<std::size_t>(l2g[q])] != grp.level) return false;
+        return true;
+      };
+      split = 0;
+      while (split < all.size() && homogeneous(all[split])) ++split;
+    }
+    std::vector<std::vector<index_t>> want;
+    for (const auto segment : {all.subspan(0, split), all.subspan(split)})
+      if (!segment.empty())
+        for (auto& bin : oracle_conflict_bins(space, segment, plan.width()))
+          want.push_back(std::move(bin));
+
+    const auto range = plan.group_blocks(gi);
+    ASSERT_EQ(static_cast<std::size_t>(range.count()), want.size()) << what << " group " << gi;
+    for (index_t b = range.first; b < range.last; ++b) {
+      const index_t* be = plan.block_elems(b);
+      EXPECT_EQ(std::vector<index_t>(be, be + plan.block_fill(b)),
+                want[static_cast<std::size_t>(b - range.first)])
+          << what << " group " << gi << " block " << b;
+    }
+  }
+}
+
+TEST(Kernels, ConflictFreeBinsMatchConflictGraphOracle) {
+  for (const char* name : {"trench-paper", "embedding-paper"}) {
+    auto spec = scenarios::get(name);
+    // Serial plan: one group per LTS level.
+    {
+      const auto m = spec.build_mesh();
+      const auto cfg = spec.config();
+      SemSpace space(m, cfg.order);
+      std::unique_ptr<WaveOperator> op;
+      if (cfg.physics == core::Physics::Acoustic)
+        op = std::make_unique<AcousticOperator>(space);
+      else
+        op = std::make_unique<ElasticOperator>(space);
+      const auto levels = core::assign_levels(m, cfg.courant, cfg.max_levels);
+      const auto st = core::build_lts_structure(space, levels);
+      const core::LtsNewmarkSolver solver(*op, levels, st);
+      expect_bins_match_oracle(solver.plan(), std::string(name) + " serial");
+    }
+    // Threaded plan on 2 ranks: (rank, level) groups.
+    spec.executor = "threaded/level-aware+steal";
+    spec.num_ranks = 2;
+    spec.scheduler.oversubscribe = runtime::Oversubscribe::Warn;
+    const auto sim = spec.make_simulation();
+    ASSERT_NE(sim->threaded(), nullptr);
+    expect_bins_match_oracle(sim->threaded()->plan(), std::string(name) + " threaded r2");
+  }
 }
 
 TEST(Kernels, ExoticOrderFallsBackToGeneric) {

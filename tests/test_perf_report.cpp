@@ -18,6 +18,7 @@
 #include "mesh/generators.hpp"
 #include "perf/roofline.hpp"
 #include "perf/run_report.hpp"
+#include "runtime/threaded_lts.hpp"
 #include "scenarios/scenario.hpp"
 #include "sem/wave_operator.hpp"
 
@@ -189,6 +190,36 @@ TEST(RunReportLive, CountersMatchAcrossAllBackends) {
     EXPECT_GT(r.roofline->elements, 0) << name;
     EXPECT_GT(r.roofline->arithmetic_intensity, 0.0) << name;
   }
+}
+
+TEST(RunReportLive, ConfigEchoNamesTheSchedulerModeThatRan) {
+  // A "threaded/<mode>" executor name picks the scheduler mode; the legacy
+  // scheduler.mode field (left at its default here) does not. The report's
+  // config echo must name the mode that ran and parse back to the same run.
+  for (const runtime::SchedulerMode mode : runtime::kAllSchedulerModes) {
+    const std::string name = "threaded/" + runtime::to_string(mode);
+    auto spec = spec_for(name);
+    spec.scheduler.mode = runtime::SchedulerConfig{}.mode;
+    auto sim = spec.make_simulation();
+    sim->run(scenarios::run_duration(spec, *sim));
+    ASSERT_NE(sim->threaded(), nullptr) << name;
+    ASSERT_EQ(sim->threaded()->mode(), mode) << name;
+
+    const perf::RunReport r = sim->run_report();
+    EXPECT_NE(r.config.find("executor=" + name + " scheduler.mode=" + runtime::to_string(mode) +
+                            " "),
+              std::string::npos)
+        << r.config;
+    const core::SimulationConfig echoed = core::parse_simulation_config(r.config);
+    EXPECT_EQ(echoed.scheduler.mode, mode) << r.config;
+    EXPECT_EQ(core::resolve_executor_name(echoed), name) << r.config;
+    EXPECT_EQ(core::to_string(echoed), r.config);
+  }
+  // Configs that name no executor keep the legacy field and the pinned echo.
+  EXPECT_EQ(core::to_string(core::effective_config(core::SimulationConfig{})),
+            "order=4 physics=acoustic courant=0.12 lts=on max-levels=12 ranks=0 "
+            "partitioner=scotch-p feedback=0 executor=auto scheduler.mode=level-aware "
+            "scheduler.oversubscribe=forbid scheduler.chunk=0");
 }
 
 TEST(RunReportLive, ScenarioRunFillsReport) {
