@@ -32,7 +32,7 @@
 ///
 /// scatter_add requires the W indices of one call to be pairwise distinct
 /// (it is implemented as gather + add + scatter on ISAs without a native
-/// conflict-safe scatter). The BatchPlan's conflict-free coloring guarantees
+/// conflict-safe scatter). The BatchPlan's conflict-free binning guarantees
 /// exactly this for block scatter rows.
 
 #include <cstddef>

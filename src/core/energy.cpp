@@ -22,10 +22,9 @@ real_t cross_potential_energy(const sem::WaveOperator& op, std::span<const real_
                               std::span<const real_t> b) {
   LTS_CHECK(a.size() == b.size());
   std::vector<real_t> kb(b.size(), 0.0);
-  std::vector<index_t> all(static_cast<std::size_t>(op.space().num_elems()));
-  for (std::size_t e = 0; e < all.size(); ++e) all[e] = static_cast<index_t>(e);
+  const sem::BatchPlan& plan = op.full_plan();
   auto ws = op.make_workspace();
-  op.apply_add(all, b.data(), kb.data(), ws);
+  op.apply_add_blocks(plan, 0, plan.num_blocks(), b.data(), kb.data(), ws);
   real_t e = 0;
   for (std::size_t i = 0; i < a.size(); ++i) e += a[i] * kb[i];
   return 0.5 * e;

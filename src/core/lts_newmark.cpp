@@ -16,18 +16,21 @@ namespace ltswave::core {
 
 namespace {
 
-/// The production solver's batched plan: one group per level over E(k), in
-/// level order (rank is trivially 0 here), with the level-homogeneous
-/// elements moved first so the bulk of each group's blocks take the mask-free
-/// fast path and only the trailing level-boundary blocks carry masks.
-sem::BatchPlan make_level_plan(const sem::WaveOperator& op, const LtsStructure& structure) {
+/// A serial level plan: one group per level over E(k), in level order (rank
+/// is trivially 0 here). The production solver moves the level-homogeneous
+/// elements first so the bulk of each group's blocks take the mask-free fast
+/// path and only the trailing level-boundary blocks carry masks; the
+/// reference keeps E(k) in structure order, so its blocks and masks differ.
+sem::BatchPlan make_level_plan(const sem::WaveOperator& op, const LtsStructure& structure,
+                               bool homogeneous_first) {
   std::vector<sem::BatchPlan::Group> groups;
   groups.reserve(static_cast<std::size_t>(structure.num_levels));
   for (level_t k = 1; k <= structure.num_levels; ++k) {
+    const auto& elems = structure.eval_elems[static_cast<std::size_t>(k - 1)];
     sem::BatchPlan::Group g;
-    g.elems = sem::order_homogeneous_first(
-        op.space(), structure.eval_elems[static_cast<std::size_t>(k - 1)], k,
-        structure.node_level);
+    g.elems = homogeneous_first
+                  ? sem::order_homogeneous_first(op.space(), elems, k, structure.node_level)
+                  : elems;
     g.level = k;
     g.node_level = structure.node_level;
     groups.push_back(std::move(g));
@@ -50,7 +53,7 @@ LtsNewmarkSolver::LtsNewmarkSolver(const sem::WaveOperator& op, const LevelAssig
       dt_(levels.dt),
       ncomp_(op.ncomp()),
       ws_(op.make_workspace()),
-      plan_(make_level_plan(op, structure)) {
+      plan_(make_level_plan(op, structure, /*homogeneous_first=*/true)) {
   const auto& space = op.space();
   const std::size_t ndof =
       static_cast<std::size_t>(space.num_global_nodes()) * static_cast<std::size_t>(ncomp_);
@@ -95,23 +98,24 @@ void LtsNewmarkSolver::set_fixed_nodes(std::span<const gindex_t> nodes) {
 void LtsNewmarkSolver::set_state(std::span<const real_t> u0, std::span<const real_t> v0) {
   LTS_CHECK(u0.size() == u_.size() && v0.size() == v_.size());
   std::copy(u0.begin(), u0.end(), u_.begin());
-  // v^{-1/2} = v(0) - dt/2 * a(0), a(0) = Minv (f(0) - K u0). One-shot
-  // initialization through the per-element path: materializing the
-  // operator's full-mesh plan just for this would duplicate every metric
-  // slab already held by the level plan. Neither work counter includes it
-  // (set_state is not cycle work), matching element_applies' convention.
+  // v^{-1/2} = v(0) - dt/2 * a(0), a(0) = Minv (f(0) - K u0), accumulated
+  // as scratch_ = K u0 - f(0). K u0 is every block of the level plan:
+  // sum_k K P_k u over E(k) = K u since sum_k P_k = I. The operator's
+  // full-mesh plan would duplicate every metric slab the level plan already
+  // holds. Neither work counter includes this apply (set_state is not cycle
+  // work), matching element_applies' convention.
   std::fill(scratch_.begin(), scratch_.end(), 0.0);
-  std::vector<index_t> all(static_cast<std::size_t>(op_->space().num_elems()));
-  for (std::size_t e = 0; e < all.size(); ++e) all[e] = static_cast<index_t>(e);
-  op_->apply_add(all, u_.data(), scratch_.data(), ws_);
-  std::vector<real_t> f(u_.size(), 0.0);
-  for (const auto& s : sources_) s.accumulate(0.0, ncomp_, f.data());
+  op_->apply_add_blocks(plan_, 0, plan_.num_blocks(), u_.data(), scratch_.data(), ws_);
+  for (sem::PointSource s : sources_) {
+    s.amplitude = -s.amplitude;
+    s.accumulate(0.0, ncomp_, scratch_.data());
+  }
   for (gindex_t g = 0; g < op_->space().num_global_nodes(); ++g) {
     const real_t im = inv_mass_[static_cast<std::size_t>(g)];
     for (int c = 0; c < ncomp_; ++c) {
       const std::size_t i =
           static_cast<std::size_t>(g) * static_cast<std::size_t>(ncomp_) + static_cast<std::size_t>(c);
-      v_[i] = v0[i] - 0.5 * dt_ * im * (f[i] - scratch_[i]);
+      v_[i] = v0[i] + 0.5 * dt_ * im * scratch_[i];
     }
   }
   time_ = 0;
@@ -434,7 +438,8 @@ LtsNewmarkReference::LtsNewmarkReference(const sem::WaveOperator& op,
       integ_(integ),
       dt_(levels.dt),
       ncomp_(op.ncomp()),
-      ws_(op.make_workspace()) {
+      ws_(op.make_workspace()),
+      plan_(make_level_plan(op, structure, /*homogeneous_first=*/false)) {
   const auto& space = op.space();
   const std::size_t ndof =
       static_cast<std::size_t>(space.num_global_nodes()) * static_cast<std::size_t>(ncomp_);
@@ -446,10 +451,8 @@ LtsNewmarkReference::LtsNewmarkReference(const sem::WaveOperator& op,
 void LtsNewmarkReference::set_state(std::span<const real_t> u0, std::span<const real_t> v0) {
   LTS_CHECK(u0.size() == u_.size() && v0.size() == v_.size());
   std::copy(u0.begin(), u0.end(), u_.begin());
-  std::vector<index_t> all(static_cast<std::size_t>(op_->space().num_elems()));
-  for (std::size_t e = 0; e < all.size(); ++e) all[e] = static_cast<index_t>(e);
   std::vector<real_t> ku(u_.size(), 0.0);
-  op_->apply_add(all, u_.data(), ku.data(), ws_);
+  op_->apply_add_blocks(plan_, 0, plan_.num_blocks(), u_.data(), ku.data(), ws_);
   const std::size_t nc = static_cast<std::size_t>(ncomp_);
   for (std::size_t g = 0; g < inv_mass_.size(); ++g) {
     const real_t im = inv_mass_[g];
@@ -460,8 +463,8 @@ void LtsNewmarkReference::set_state(std::span<const real_t> u0, std::span<const 
 
 std::vector<real_t> LtsNewmarkReference::apply_level(level_t k, const std::vector<real_t>& field) {
   std::vector<real_t> out(field.size(), 0.0);
-  structure_->apply_level_restricted(*op_, structure_->eval_elems[static_cast<std::size_t>(k - 1)],
-                                     k, field.data(), out.data(), ws_);
+  const auto range = plan_.group_blocks(static_cast<std::size_t>(k - 1));
+  op_->apply_add_blocks(plan_, range.first, range.last, field.data(), out.data(), ws_);
   const std::size_t nc = static_cast<std::size_t>(ncomp_);
   for (std::size_t g = 0; g < inv_mass_.size(); ++g) {
     const real_t im = inv_mass_[g];

@@ -181,6 +181,9 @@ private:
   std::vector<real_t> inv_mass_;
   std::vector<real_t> u_, v_;
   sem::KernelWorkspace ws_;
+  /// Level plan over E(k) in structure order (no homogeneous-first
+  /// reordering), so its blocks and masks differ from the production plan's.
+  sem::BatchPlan plan_;
 };
 
 } // namespace ltswave::core

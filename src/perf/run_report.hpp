@@ -14,7 +14,9 @@
 ///    "sources", receiver sampling "receivers", and barrier wait "barrier");
 ///  * the per-rank busy/stall/steal vectors (lifetime, matching
 ///    core::ExecutorCounters — serial backends leave them empty);
-///  * lifetime work counters (cycles, element applies, blocks applied);
+///  * lifetime work counters (cycles, element applies, blocks applied) —
+///    both counted from the block path, the operator's only apply: an
+///    element apply is one real (unpadded) lane of an applied block;
 ///  * an optional static roofline record (see roofline.hpp) giving the
 ///    flop/byte balance of the plan the run executed.
 ///
@@ -23,8 +25,8 @@
 ///
 /// Instrumentation contract: phase timing lives at existing solver phase
 /// boundaries (one WallTimer read per phase per substep) — never inside
-/// sem::*::apply_add_blocks, so the kernel microbench path carries zero
-/// instrumentation overhead.
+/// sem::WaveOperator::apply_add_blocks, so the kernel microbench path carries
+/// zero instrumentation overhead.
 
 #include <cstdint>
 #include <iosfwd>
@@ -94,7 +96,7 @@ struct RunReport {
   std::int64_t cycles = 0;          ///< coarse LTS cycles advanced
   double time = 0;                  ///< simulated seconds
   double wall_seconds = 0;          ///< end-to-end wall time of the run
-  std::int64_t element_applies = 0; ///< per-element stiffness applies
+  std::int64_t element_applies = 0; ///< real block lanes applied
   std::int64_t blocks_applied = 0;  ///< batched kernel block applies
   std::string simd_isa = std::string(simd::isa_name()); ///< compiled SIMD ISA
   int simd_width = simd::kWidth;    ///< compiled real_t lanes per vector

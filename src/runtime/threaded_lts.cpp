@@ -486,31 +486,25 @@ void ThreadedLtsSolver::set_state(std::span<const real_t> u0, std::span<const re
   LTS_CHECK(u0.size() == ndof_ && v0.size() == ndof_);
   std::copy(u0.begin(), u0.end(), u_.get());
   std::fill(scratch_.get(), scratch_.get() + ndof_, 0.0);
-  // One-shot initialization apply through the per-element path (the solver's
-  // own plan is level-restricted; building the operator's full-mesh plan for
-  // a single apply would duplicate every metric slab). The workspace is rank
-  // 0's block-sized one — sized once per (order, block width), not re-derived
-  // per set_state call.
-  std::vector<index_t> all(static_cast<std::size_t>(op_->space().num_elems()));
-  for (std::size_t e = 0; e < all.size(); ++e) all[e] = static_cast<index_t>(e);
-  op_->apply_add(all, u_.get(), scratch_.get(), *ranks_[0].workspace);
+  // v^{-1/2} = v(0) - dt/2 * Minv (f(0) - K u0), exactly as the serial
+  // solvers compute the staggered start, accumulated as scratch_ =
+  // K u0 - f(0). K u0 is one apply on the driving thread over every block of
+  // the solver's own plan: the (rank, level) groups partition sum_k E(k)
+  // column-wise, so sum_{r,k} K P_k u over E_r(k) = K u (sum_k P_k = I). The
+  // operator's full-mesh plan would duplicate every metric slab. Called on
+  // op_ directly, so no work counter moves; the workspace is rank 0's, idle
+  // between runs.
+  op_->apply_add_blocks(*plan_, 0, plan_->num_blocks(), u_.get(), scratch_.get(),
+                        *ranks_[0].workspace);
+  for (sem::PointSource s : sources_) {
+    s.amplitude = -s.amplitude;
+    s.accumulate(0.0, ncomp_, scratch_.get());
+  }
   const std::size_t nc = static_cast<std::size_t>(ncomp_);
-  if (sources_.empty()) {
-    for (std::size_t g = 0; g < inv_mass_.size(); ++g) {
-      const real_t im = inv_mass_[g];
-      for (std::size_t c = 0; c < nc; ++c)
-        v_[g * nc + c] = v0[g * nc + c] + 0.5 * dt_ * im * scratch_[g * nc + c];
-    }
-  } else {
-    // v^{-1/2} = v(0) - dt/2 * Minv (f(0) - K u0), exactly as the serial
-    // solvers compute the staggered start when sources are present.
-    std::vector<real_t> f(ndof_, 0.0);
-    for (const auto& s : sources_) s.accumulate(0.0, ncomp_, f.data());
-    for (std::size_t g = 0; g < inv_mass_.size(); ++g) {
-      const real_t im = inv_mass_[g];
-      for (std::size_t c = 0; c < nc; ++c)
-        v_[g * nc + c] = v0[g * nc + c] - 0.5 * dt_ * im * (f[g * nc + c] - scratch_[g * nc + c]);
-    }
+  for (std::size_t g = 0; g < inv_mass_.size(); ++g) {
+    const real_t im = inv_mass_[g];
+    for (std::size_t c = 0; c < nc; ++c)
+      v_[g * nc + c] = v0[g * nc + c] + 0.5 * dt_ * im * scratch_[g * nc + c];
   }
   std::fill(scratch_.get(), scratch_.get() + ndof_, 0.0);
   for (auto& f : forces_) std::fill(f.begin(), f.end(), 0.0);

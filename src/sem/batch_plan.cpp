@@ -185,8 +185,7 @@ std::vector<index_t> order_homogeneous_first(const SemSpace& space,
   return out;
 }
 
-BatchPlan::BatchPlan(const SemSpace& space, int ncomp, std::vector<Group> groups, Fill fill,
-                     Coloring coloring)
+BatchPlan::BatchPlan(const SemSpace& space, int ncomp, std::vector<Group> groups, Fill fill)
     : space_(&space),
       ncomp_(ncomp),
       width_(kernels::block_width_for(space.ref().nodes_1d())),
@@ -216,9 +215,7 @@ BatchPlan::BatchPlan(const SemSpace& space, int ncomp, std::vector<Group> groups
     return known == 1;
   };
   // bin_conflict_free's node numbering scratch, all -1 between calls.
-  std::vector<index_t> node_slot(
-      coloring == Coloring::ConflictFree ? static_cast<std::size_t>(space.num_global_nodes()) : 0,
-      -1);
+  std::vector<index_t> node_slot(static_cast<std::size_t>(space.num_global_nodes()), -1);
 
   // Metric words per block: compact lane constants for affine blocks, full
   // lane-interleaved planes otherwise.
@@ -227,14 +224,12 @@ BatchPlan::BatchPlan(const SemSpace& space, int ncomp, std::vector<Group> groups
 
   // Pass 1: block layout. Groups never share a block, so every block belongs
   // to one (group, level) and a group's blocks are contiguous in plan order.
-  const auto append_block = [&](index_t g, std::span<const index_t> belems,
-                                bool conflict_free) {
+  const auto append_block = [&](index_t g, std::span<const index_t> belems) {
     const auto& grp = groups_[static_cast<std::size_t>(g)];
     Block blk;
     blk.group = g;
     blk.fill = static_cast<int>(belems.size());
     blk.level = grp.level;
-    blk.conflict_free = conflict_free;
     if (grp.level > 0) {
       bool homogeneous = true;
       for (int l = 0; l < blk.fill && homogeneous; ++l)
@@ -262,34 +257,24 @@ BatchPlan::BatchPlan(const SemSpace& space, int ncomp, std::vector<Group> groups
                                         static_cast<std::size_t>(space.num_global_nodes()),
                   "level-masked BatchPlan group needs node_level over all global nodes");
     BlockRange range{num_blocks(), num_blocks()};
-    if (coloring == Coloring::ConflictFree) {
-      // Bin the node-homogeneous elements of a masked group separately from
-      // the mixed ones: a bin mixing both kinds would need a mask slab for
-      // elements that don't, shrinking the mask-free fast path.
-      std::span<const index_t> all(grp.elems);
-      std::size_t split = all.size();
-      if (grp.level > 0) {
-        split = 0;
-        while (split < all.size() &&
-               elem_homogeneous_at(space, all[split], grp.level, grp.node_level))
-          ++split;
-        // Callers order homogeneous-first (order_homogeneous_first); if any
-        // homogeneous elements trail the first mixed one, keep them with the
-        // mixed segment — correctness never depends on the split.
-      }
-      for (const auto segment : {all.subspan(0, split), all.subspan(split)}) {
-        if (segment.empty()) continue;
-        for (const auto& bin : bin_conflict_free(space, segment, width_, node_slot))
-          append_block(static_cast<index_t>(g), bin, /*conflict_free=*/true);
-      }
-    } else {
-      for (std::size_t at = 0; at < grp.elems.size(); at += static_cast<std::size_t>(width_)) {
-        const std::size_t fill =
-            std::min<std::size_t>(static_cast<std::size_t>(width_), grp.elems.size() - at);
-        append_block(static_cast<index_t>(g),
-                     std::span<const index_t>(grp.elems).subspan(at, fill),
-                     /*conflict_free=*/false);
-      }
+    // Bin the node-homogeneous elements of a masked group separately from
+    // the mixed ones: a bin mixing both kinds would need a mask slab for
+    // elements that don't, shrinking the mask-free fast path.
+    std::span<const index_t> all(grp.elems);
+    std::size_t split = all.size();
+    if (grp.level > 0) {
+      split = 0;
+      while (split < all.size() &&
+             elem_homogeneous_at(space, all[split], grp.level, grp.node_level))
+        ++split;
+      // Callers order homogeneous-first (order_homogeneous_first); if any
+      // homogeneous elements trail the first mixed one, keep them with the
+      // mixed segment — correctness never depends on the split.
+    }
+    for (const auto segment : {all.subspan(0, split), all.subspan(split)}) {
+      if (segment.empty()) continue;
+      for (const auto& bin : bin_conflict_free(space, segment, width_, node_slot))
+        append_block(static_cast<index_t>(g), bin);
     }
     range.last = num_blocks();
     group_range_.push_back(range);

@@ -3,11 +3,11 @@
 /// \file batch_plan.hpp
 /// Element-block batched execution plan for the SEM kernel engine.
 ///
-/// The per-element apply (kernels.hpp) leaves two costs on the table that the
-/// LTS hot loop pays millions of times: one indirect kernel dispatch per
-/// element, and inner loops whose trip count is the 1D node count n1 = 2..9 —
-/// far below the machine's vector width. A BatchPlan removes both by grouping
-/// elements into fixed-width blocks of W lanes (W = 8..32, order-dependent,
+/// A per-element apply would leave two costs on the table that the LTS hot
+/// loop pays millions of times: one indirect kernel dispatch per element, and
+/// inner loops whose trip count is the 1D node count n1 = 2..9 — far below
+/// the machine's vector width. A BatchPlan removes both by grouping elements
+/// into fixed-width blocks of W lanes (W = 8..32, order-dependent,
 /// kernels::block_width_for) and storing every per-point input
 /// *lane-interleaved*: entry (q, l) of a block slab lives at [q*W + l], so
 /// every kernel loop carries a unit-stride innermost lane dimension of
@@ -22,9 +22,8 @@
 /// branch-free column mask per block — blocks whose elements are all
 /// node-homogeneous at level k (the interior bulk, which (rank, level)
 /// ordering makes the common case) carry no mask at all and take the plain
-/// gather, mixed blocks carry one interleaved 0/1 mask slab. This is the
-/// per-block form of sem::LevelMask; the per-element LevelMask remains as the
-/// single-element cross-check path.
+/// gather, mixed blocks carry one interleaved 0/1 mask slab. Plans are the
+/// only way to apply the operator (WaveOperator::apply_add_blocks).
 ///
 /// Per block the plan stores contiguous, 64-byte-aligned slabs of everything
 /// the kernel streams: gather indices, the fused acoustic metric G (6 planes)
@@ -46,20 +45,18 @@
 /// SemSpace stores none, and fill() evaluates them per lane straight into
 /// the block planes.
 ///
-/// By default (Coloring::ConflictFree) the chunking is *conflict-free*: each
-/// group's elements are binned by first-fit over the element node-sharing
-/// conflicts (found through a node -> element incidence built by counting
-/// sort, linear in the group size), so no two real lanes of one block touch
-/// the same global mesh row. The scatter of such a block can
-/// then use SIMD indexed scatter-add with no lane-vs-lane conflict checking —
-/// within one q-row of the block, all gather indices are pairwise distinct.
+/// The chunking is *conflict-free*: each group's elements are binned by
+/// first-fit over the element node-sharing conflicts (found through a node ->
+/// element incidence built by counting sort, linear in the group size), so
+/// no two real lanes of one block touch the same global mesh row. Every
+/// block scatter therefore uses SIMD indexed scatter-add with no lane-vs-lane
+/// conflict checking — within one q-row of a block, all gather indices are
+/// pairwise distinct.
 /// The binning is deterministic (first-fit over the caller's element order),
 /// so plan block order — and therefore the accumulation order every solver
 /// inherits — is run-to-run identical. Level-masked groups bin their
 /// node-homogeneous elements separately from the mixed ones so the mask-free
-/// fast path keeps whole blocks. Coloring::None reproduces the plain strided
-/// chunking (exactly the caller's order, only the last block per group
-/// ragged) for A/B measurement.
+/// fast path keeps whole blocks.
 ///
 /// Construction can defer the slab fill (Fill::Deferred) so a rank-parallel
 /// owner first-touches its own blocks from its own pool thread — the NUMA
@@ -115,16 +112,10 @@ public:
               ///< pages are first-touched by the thread that will use them
   };
 
-  enum class Coloring {
-    None,         ///< strided chunking in caller order (conflicting lanes OK)
-    ConflictFree, ///< first-fit conflict-graph binning: no two real lanes of
-                  ///< a block share a global mesh row (SIMD scatter safe)
-  };
-
   /// `ncomp` selects which metric slabs the plan materializes: 1 builds the
   /// fused acoustic G planes, 3 builds the elastic jinv/wjinv planes.
   BatchPlan(const SemSpace& space, int ncomp, std::vector<Group> groups,
-            Fill fill = Fill::Now, Coloring coloring = Coloring::ConflictFree);
+            Fill fill = Fill::Now);
 
   [[nodiscard]] const SemSpace& space() const noexcept { return *space_; }
   [[nodiscard]] int ncomp() const noexcept { return ncomp_; }
@@ -140,7 +131,9 @@ public:
   [[nodiscard]] BlockRange group_blocks(std::size_t g) const { return group_range_.at(g); }
 
   /// Real (unpadded) lanes of block b; padded lanes replicate the last real
-  /// element's gather indices and must not be scattered.
+  /// element's gather indices and must not be scattered. The real lanes
+  /// share no global mesh row, so within every q-row of the gather slab
+  /// their indices are pairwise distinct (the unchecked SIMD scatter-add).
   [[nodiscard]] int block_fill(index_t b) const noexcept {
     return blocks_[static_cast<std::size_t>(b)].fill;
   }
@@ -151,13 +144,6 @@ public:
   /// LTS level the block's group was built for (0 = unmasked).
   [[nodiscard]] level_t block_level(index_t b) const noexcept {
     return blocks_[static_cast<std::size_t>(b)].level;
-  }
-  /// True when the block was built conflict-free: its real lanes share no
-  /// global mesh row, so within every q-row of the gather slab the indices of
-  /// real lanes are pairwise distinct and the scatter may run as an
-  /// unchecked SIMD scatter-add.
-  [[nodiscard]] bool block_conflict_free(index_t b) const noexcept {
-    return blocks_[static_cast<std::size_t>(b)].conflict_free;
   }
   /// Total elements (real lanes) across blocks [b0, b1).
   [[nodiscard]] std::int64_t elements_in(index_t b0, index_t b1) const noexcept;
@@ -228,7 +214,6 @@ private:
     int fill = 0;                 ///< real lanes
     level_t level = 0;            ///< 0 = unmasked
     bool affine = false;          ///< compact separable metric
-    bool conflict_free = false;   ///< real lanes share no global mesh row
     std::ptrdiff_t mask_off = -1; ///< into mask_, -1 = homogeneous/unmasked
     std::size_t metric_off = 0;   ///< into metric_
   };

@@ -74,9 +74,9 @@ public:
   /// state, so any number of threads may call it concurrently.
   void element_metrics(index_t e, MetricOut jinv, MetricOut gmat, MetricOut wjinv) const;
 
-  /// element_metrics in the single-element kernel layouts: jinv and wjinv
-  /// as npts row-major 3x3 blocks (9 * npts values), gmat as 6 SoA planes of
-  /// npts values. Any pointer may be null.
+  /// element_metrics in compact per-element layouts: jinv and wjinv as npts
+  /// row-major 3x3 blocks (9 * npts values), gmat as 6 SoA planes of npts
+  /// values. Any pointer may be null.
   void element_metrics(index_t e, real_t* jinv, real_t* gmat, real_t* wjinv) const;
 
   /// Diagonal global mass matrix (length num_global_nodes()); strictly

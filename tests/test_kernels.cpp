@@ -1,20 +1,20 @@
-// Kernel-engine cross-validation: the compile-time order-specialized kernels
-// (KernelMode::Auto) must reproduce the runtime-n1 generic fallback
-// (KernelMode::Generic) to near machine precision for every supported order,
-// physics, and masking path — including the branch-free LevelMask gather
-// against the per-node-branch legacy gather — and the element-block batched
-// path (BatchPlan + block kernels, the production default) must reproduce the
-// single-element path to the same 1e-12 bound for every order and physics,
+// Kernel-engine validation: every block apply (BatchPlan + block kernels,
+// WaveOperator::apply_add_blocks — the operator's only apply) must reproduce
+// the per-element oracle of kernel_oracle.hpp to 1e-12 for polynomial orders
+// 1-9 (order 9 runs the runtime-n1 N1 == 0 instantiation), both physics,
 // masked and unmasked, with ragged tail blocks and both the full-plane and
-// compact-affine metric forms exercised. Plus an energy-conservation smoke
-// test driving LtsNewmarkSolver through the new production paths.
+// compact-affine metric forms exercised. Plus the plan invariants the block
+// path leans on (conflict-free blocks, exact element coverage, per-block
+// level masks), the set_state identity sum_k K P_k u = K u through the
+// solvers' level plans, and an energy-conservation smoke test driving
+// LtsNewmarkSolver through the production path.
 //
 // SIMD backend coverage: the block kernels run on the simd::Vec lane layer
-// while the single-element kernels stay scalar, so every batched-vs-single
-// comparison here is a vector-vs-scalar cross-check at <= 1e-12. The suite is
-// built and re-run per backend (native AVX-512/AVX2, the baseline-ISA CI
-// build, and the simd-scalar CI job's forced-scalar build), which sweeps
-// every width the dispatch in common/simd.hpp can select.
+// while the oracle stays scalar, so every comparison here is a
+// vector-vs-scalar cross-check at <= 1e-12. The suite is built and re-run
+// per backend (native AVX-512/AVX2, the baseline-ISA CI build, and the
+// simd-scalar CI job's forced-scalar build), which sweeps every width the
+// dispatch in common/simd.hpp can select.
 
 #include <gtest/gtest.h>
 
@@ -30,7 +30,9 @@
 #include "core/lts_newmark.hpp"
 #include "core/simulation.hpp"
 #include "graph/csr_graph.hpp"
+#include "kernel_oracle.hpp"
 #include "mesh/generators.hpp"
+#include "partition/partitioners.hpp"
 #include "runtime/threaded_lts.hpp"
 #include "scenarios/scenario.hpp"
 #include "sem/batch_plan.hpp"
@@ -38,12 +40,6 @@
 
 namespace ltswave::sem {
 namespace {
-
-std::vector<index_t> all_elems(const SemSpace& s) {
-  std::vector<index_t> v(static_cast<std::size_t>(s.num_elems()));
-  for (std::size_t i = 0; i < v.size(); ++i) v[i] = static_cast<index_t>(i);
-  return v;
-}
 
 std::vector<real_t> random_field(std::size_t n, Rng& rng) {
   std::vector<real_t> u(n);
@@ -91,71 +87,41 @@ core::LtsStructure two_level_structure(const mesh::HexMesh& m, const SemSpace& s
   return core::build_lts_structure(space, levels);
 }
 
-template <class Op>
-void cross_validate_order(int order, bool elastic) {
-  const auto m = make_test_mesh();
-  SemSpace space(m, order);
-  Op specialized(space, KernelMode::Auto);
-  Op generic(space, KernelMode::Generic);
-  const int nc = specialized.ncomp();
-  const std::size_t ndof =
-      static_cast<std::size_t>(space.num_global_nodes()) * static_cast<std::size_t>(nc);
-  const auto elems = all_elems(space);
-  auto ws_s = specialized.make_workspace();
-  auto ws_g = generic.make_workspace();
-
-  Rng rng(1000 + order + (elastic ? 100 : 0));
-  const auto u = random_field(ndof, rng);
-
-  // Unmasked apply.
-  std::vector<real_t> out_s(ndof, 0.0), out_g(ndof, 0.0);
-  specialized.apply_add(elems, u.data(), out_s.data(), ws_s);
-  generic.apply_add(elems, u.data(), out_g.data(), ws_g);
-  EXPECT_LT(max_rel_diff(out_s, out_g), 1e-12) << "unmasked, order " << order;
-
-  // Masked applies: legacy node-level path and branch-free LevelMask path,
-  // both against the generic node-level path, per level.
-  const auto st = two_level_structure(m, space);
-  for (level_t k = 1; k <= 2; ++k) {
+/// A level plan over `st` in the production (homogeneous-first) or the
+/// reference (structure) element order.
+BatchPlan level_plan(const SemSpace& space, int ncomp, const core::LtsStructure& st,
+                     bool homogeneous_first) {
+  std::vector<BatchPlan::Group> groups;
+  for (level_t k = 1; k <= st.num_levels; ++k) {
     const auto& ek = st.eval_elems[static_cast<std::size_t>(k - 1)];
-    std::vector<real_t> m_legacy(ndof, 0.0), m_plan(ndof, 0.0), m_gen(ndof, 0.0);
-    specialized.apply_add_level(ek, st.node_level.data(), k, u.data(), m_legacy.data(), ws_s);
-    specialized.apply_add_level(ek, st.mask, k, u.data(), m_plan.data(), ws_s);
-    generic.apply_add_level(ek, st.node_level.data(), k, u.data(), m_gen.data(), ws_g);
-    EXPECT_LT(max_rel_diff(m_legacy, m_gen), 1e-12) << "masked legacy, order " << order;
-    EXPECT_LT(max_rel_diff(m_plan, m_gen), 1e-12) << "masked plan, order " << order;
+    BatchPlan::Group g;
+    g.elems = homogeneous_first ? order_homogeneous_first(space, ek, k, st.node_level) : ek;
+    g.level = k;
+    g.node_level = st.node_level;
+    groups.push_back(std::move(g));
   }
+  return BatchPlan(space, ncomp, std::move(groups));
 }
 
-TEST(Kernels, AcousticSpecializedMatchesGenericOrders1To8) {
-  for (int order = 1; order <= 8; ++order) cross_validate_order<AcousticOperator>(order, false);
-}
-
-TEST(Kernels, ElasticSpecializedMatchesGenericOrders1To8) {
-  for (int order = 1; order <= 8; ++order) cross_validate_order<ElasticOperator>(order, true);
-}
-
-/// Batched-vs-single-element sweep on one mesh: full apply through the
-/// operator's full-mesh plan and level-restricted applies through a
-/// solver-style level plan, all compared against the single-element kernels
-/// at 1e-12. The mesh has 36 elements, so every block width (8/16/32) gets a
-/// ragged tail block; `expect_affine` asserts which metric form the plan
-/// chose (compact separable constants on parallelepiped meshes, full planes
-/// on warped ones), guaranteeing both kernel variants are exercised.
+/// Block-vs-oracle sweep on one mesh: the full apply through the operator's
+/// full-mesh plan, and the level-restricted applies through level plans in
+/// both element orders (per-block masks), all against the oracle at 1e-12.
+/// The mesh has 36 elements, so every block width (8/16/32) gets a ragged
+/// tail block; `expect_affine` asserts which metric form the plan chose
+/// (compact separable constants on parallelepiped meshes, full planes on
+/// warped ones), guaranteeing both kernel variants are exercised.
 template <class Op>
-void batched_matches_single(const mesh::HexMesh& m, int order, bool expect_affine) {
+void blocks_match_oracle(const mesh::HexMesh& m, int order, bool expect_affine) {
   SemSpace space(m, order);
-  Op op(space, KernelMode::Auto);
+  Op op(space);
   const int nc = op.ncomp();
   const std::size_t ndof =
       static_cast<std::size_t>(space.num_global_nodes()) * static_cast<std::size_t>(nc);
-  const auto elems = all_elems(space);
   auto ws = op.make_workspace();
 
   Rng rng(5000 + order + 10 * nc + (expect_affine ? 1 : 0));
   const auto u = random_field(ndof, rng);
 
-  // Full apply: operator plan blocks vs single-element.
   const BatchPlan& fp = op.full_plan();
   bool ragged = false, affine = false, full_metric = false;
   for (index_t b = 0; b < fp.num_blocks(); ++b) {
@@ -166,32 +132,24 @@ void batched_matches_single(const mesh::HexMesh& m, int order, bool expect_affin
   EXPECT_EQ(affine, expect_affine) << "order " << order;
   EXPECT_EQ(full_metric, !expect_affine) << "order " << order;
 
-  std::vector<real_t> out_blk(ndof, 0.0), out_single(ndof, 0.0);
+  std::vector<real_t> out_blk(ndof, 0.0);
   op.apply_add_blocks(fp, 0, fp.num_blocks(), u.data(), out_blk.data(), ws);
-  op.apply_add(elems, u.data(), out_single.data(), ws);
-  EXPECT_LT(max_rel_diff(out_blk, out_single), 1e-12) << "full, order " << order;
+  EXPECT_LT(max_rel_diff(out_blk, testing_oracle::apply(space, nc, u)), 1e-12)
+      << "full, order " << order;
 
-  // Level-restricted applies: a solver-style level plan (homogeneous-first
-  // groups, per-block masks) vs the single-element node-level gather.
   const auto st = two_level_structure(m, space);
-  std::vector<BatchPlan::Group> groups;
-  for (level_t k = 1; k <= 2; ++k) {
-    BatchPlan::Group g;
-    g.elems = order_homogeneous_first(space, st.eval_elems[static_cast<std::size_t>(k - 1)], k,
-                                      st.node_level);
-    g.level = k;
-    g.node_level = st.node_level;
-    groups.push_back(std::move(g));
-  }
-  const BatchPlan lp(space, nc, std::move(groups));
-  for (level_t k = 1; k <= 2; ++k) {
-    const auto range = lp.group_blocks(static_cast<std::size_t>(k - 1));
-    std::vector<real_t> m_blk(ndof, 0.0), m_single(ndof, 0.0);
-    op.apply_add_blocks(lp, range.first, range.last, u.data(), m_blk.data(), ws);
-    op.apply_add_level(st.eval_elems[static_cast<std::size_t>(k - 1)], st.node_level.data(), k,
-                       u.data(), m_single.data(), ws);
-    EXPECT_LT(max_rel_diff(m_blk, m_single), 1e-12)
-        << "masked level " << k << ", order " << order;
+  for (const bool homogeneous_first : {true, false}) {
+    const BatchPlan lp = level_plan(space, nc, st, homogeneous_first);
+    for (level_t k = 1; k <= 2; ++k) {
+      const auto range = lp.group_blocks(static_cast<std::size_t>(k - 1));
+      std::vector<real_t> m_blk(ndof, 0.0), m_oracle(ndof, 0.0);
+      op.apply_add_blocks(lp, range.first, range.last, u.data(), m_blk.data(), ws);
+      testing_oracle::apply_add(space, nc, st.eval_elems[static_cast<std::size_t>(k - 1)],
+                                u.data(), m_oracle.data(), st.node_level.data(), k);
+      EXPECT_LT(max_rel_diff(m_blk, m_oracle), 1e-12)
+          << "masked level " << k << ", order " << order
+          << (homogeneous_first ? ", homogeneous-first" : ", structure order");
+    }
   }
 }
 
@@ -212,70 +170,88 @@ mesh::HexMesh make_sweep_mesh(bool warped) {
   return m;
 }
 
-TEST(Kernels, BatchedMatchesSingleElementOrders1To8) {
-  for (int order = 1; order <= 8; ++order) {
-    batched_matches_single<AcousticOperator>(make_sweep_mesh(true), order, false);
-    batched_matches_single<ElasticOperator>(make_sweep_mesh(true), order, false);
-  }
+TEST(Kernels, AcousticBlocksMatchOracleOrders1To9) {
+  for (int order = 1; order <= 9; ++order)
+    blocks_match_oracle<AcousticOperator>(make_sweep_mesh(true), order, false);
 }
 
-TEST(Kernels, BatchedAffineFastPathMatchesSingleElement) {
+TEST(Kernels, ElasticBlocksMatchOracleOrders1To9) {
+  for (int order = 1; order <= 9; ++order)
+    blocks_match_oracle<ElasticOperator>(make_sweep_mesh(true), order, false);
+}
+
+TEST(Kernels, AffineBlocksMatchOracle) {
   // Parallelepiped mesh: every block takes the compact separable metric.
-  for (int order : {1, 2, 4, 6}) {
-    batched_matches_single<AcousticOperator>(make_sweep_mesh(false), order, true);
-    batched_matches_single<ElasticOperator>(make_sweep_mesh(false), order, true);
+  for (int order : {1, 2, 4, 6, 9}) {
+    blocks_match_oracle<AcousticOperator>(make_sweep_mesh(false), order, true);
+    blocks_match_oracle<ElasticOperator>(make_sweep_mesh(false), order, true);
   }
 }
 
-TEST(Kernels, BatchedGenericModeMatchesSpecialized) {
-  // KernelMode::Generic routes the batched path through the runtime-(n1, bw)
-  // block kernels; order 9 additionally has no specialization at all.
-  for (int order : {3, 9}) {
-    const auto m = make_sweep_mesh(true);
-    SemSpace space(m, order);
-    AcousticOperator a(space, KernelMode::Auto);
-    AcousticOperator g(space, KernelMode::Generic);
-    const std::size_t n = static_cast<std::size_t>(space.num_global_nodes());
-    Rng rng(77 + order);
-    const auto u = random_field(n, rng);
-    std::vector<real_t> oa(n, 0.0), og(n, 0.0);
-    auto wa = a.make_workspace();
-    auto wg = g.make_workspace();
-    a.apply_add_blocks(a.full_plan(), 0, a.full_plan().num_blocks(), u.data(), oa.data(), wa);
-    g.apply_add_blocks(g.full_plan(), 0, g.full_plan().num_blocks(), u.data(), og.data(), wg);
-    EXPECT_LT(max_rel_diff(oa, og), 1e-12) << "order " << order;
+/// Asserts the invariant the unchecked SIMD scatter relies on for *every*
+/// block of `plan`: the real lanes touch pairwise-disjoint global node sets,
+/// so the per-row scatter_add never lands two lanes on the same mesh row.
+void expect_blocks_conflict_free(const BatchPlan& plan, const std::string& what) {
+  const SemSpace& space = plan.space();
+  const int npts = space.nodes_per_elem();
+  ASSERT_GT(plan.num_blocks(), 0) << what;
+  for (index_t b = 0; b < plan.num_blocks(); ++b) {
+    std::set<gindex_t> seen;
+    const index_t* be = plan.block_elems(b);
+    for (int l = 0; l < plan.block_fill(b); ++l)
+      for (int q = 0; q < npts; ++q) {
+        const gindex_t node = space.elem_nodes(be[l])[q];
+        ASSERT_TRUE(seen.insert(node).second)
+            << what << ": block " << b << " lane " << l << " shares node " << node;
+      }
   }
+}
+
+/// Serial LTS structure and operator for a registered scenario.
+struct ScenarioRig {
+  mesh::HexMesh mesh;
+  std::unique_ptr<SemSpace> space;
+  std::unique_ptr<WaveOperator> op;
+  core::LevelAssignment levels;
+  core::LtsStructure st;
+
+  explicit ScenarioRig(const scenarios::ScenarioSpec& spec) : mesh(spec.build_mesh()) {
+    const auto cfg = spec.config();
+    space = std::make_unique<SemSpace>(mesh, cfg.order);
+    if (cfg.physics == core::Physics::Acoustic)
+      op = std::make_unique<AcousticOperator>(*space);
+    else
+      op = std::make_unique<ElasticOperator>(*space);
+    levels = core::assign_levels(mesh, cfg.courant, cfg.max_levels);
+    st = core::build_lts_structure(*space, levels);
+  }
+};
+
+/// The registered scenario on the 2-rank threaded executor.
+std::unique_ptr<core::WaveSimulation> threaded_r2(scenarios::ScenarioSpec spec) {
+  spec.executor = "threaded/level-aware+steal";
+  spec.num_ranks = 2;
+  spec.scheduler.oversubscribe = runtime::Oversubscribe::Warn;
+  return spec.make_simulation();
 }
 
 TEST(Kernels, ConflictFreeBlocksShareNoMeshRow) {
-  // The invariant the vectorized scatter relies on: within one conflict-free
-  // block, the real lanes touch pairwise-disjoint global node sets, so the
-  // per-row scatter_add never lands two lanes on the same mesh row.
+  // Every plan the library builds is conflict-free, so every block scatter
+  // is the unchecked SIMD one: check the full plans of both sweep meshes and
+  // the serial level plan and the 2-rank threaded plan of a paper scenario.
   for (const bool warped : {false, true}) {
     const auto m = make_sweep_mesh(warped);
     SemSpace space(m, 3);
-    BatchPlan::Group g;
-    g.elems = all_elems(space);
-    const BatchPlan plan(space, 1, {g});
-    const int npts = space.nodes_per_elem();
-    index_t conflict_free = 0;
-    for (index_t b = 0; b < plan.num_blocks(); ++b) {
-      if (!plan.block_conflict_free(b)) continue;
-      ++conflict_free;
-      std::set<gindex_t> seen;
-      const index_t* be = plan.block_elems(b);
-      for (int l = 0; l < plan.block_fill(b); ++l)
-        for (int q = 0; q < npts; ++q) {
-          const gindex_t node = space.elem_nodes(be[l])[q];
-          EXPECT_TRUE(seen.insert(node).second)
-              << "block " << b << " lane " << l << " shares node " << node;
-        }
-    }
-    // A shared-node mesh cannot be binned without splits, so the default
-    // coloring must actually have produced conflict-free blocks.
-    EXPECT_EQ(conflict_free, plan.num_blocks());
-    EXPECT_GT(conflict_free, 0);
+    const AcousticOperator op(space);
+    expect_blocks_conflict_free(op.full_plan(), warped ? "full plan warped" : "full plan box");
   }
+  const auto spec = scenarios::get("trench-paper");
+  const ScenarioRig rig(spec);
+  const core::LtsNewmarkSolver solver(*rig.op, rig.levels, rig.st);
+  expect_blocks_conflict_free(solver.plan(), "trench-paper serial level plan");
+  const auto sim = threaded_r2(spec);
+  ASSERT_NE(sim->threaded(), nullptr);
+  expect_blocks_conflict_free(sim->threaded()->plan(), "trench-paper threaded r2 plan");
 }
 
 TEST(Kernels, ConflictFreeBinningPermutesButCoversTheGroup) {
@@ -284,27 +260,11 @@ TEST(Kernels, ConflictFreeBinningPermutesButCoversTheGroup) {
   const auto m = make_sweep_mesh(true);
   SemSpace space(m, 4);
   const auto st = two_level_structure(m, space);
-  auto make_groups = [&] {
-    std::vector<BatchPlan::Group> groups;
-    for (level_t k = 1; k <= 2; ++k) {
-      BatchPlan::Group g;
-      g.elems = order_homogeneous_first(space, st.eval_elems[static_cast<std::size_t>(k - 1)],
-                                        k, st.node_level);
-      g.level = k;
-      g.node_level = st.node_level;
-      groups.push_back(std::move(g));
-    }
-    return groups;
-  };
-  const BatchPlan colored(space, 1, make_groups(), BatchPlan::Fill::Now,
-                          BatchPlan::Coloring::ConflictFree);
-  const BatchPlan strided(space, 1, make_groups(), BatchPlan::Fill::Now,
-                          BatchPlan::Coloring::None);
-  const BatchPlan again(space, 1, make_groups(), BatchPlan::Fill::Now,
-                        BatchPlan::Coloring::ConflictFree);
+  const BatchPlan plan = level_plan(space, 1, st, /*homogeneous_first=*/true);
+  const BatchPlan again = level_plan(space, 1, st, /*homogeneous_first=*/true);
 
-  ASSERT_EQ(colored.num_groups(), strided.num_groups());
-  for (std::size_t gi = 0; gi < colored.num_groups(); ++gi) {
+  ASSERT_EQ(plan.num_groups(), 2u);
+  for (std::size_t gi = 0; gi < plan.num_groups(); ++gi) {
     auto elems_of = [gi](const BatchPlan& p) {
       std::vector<index_t> v;
       const auto range = p.group_blocks(gi);
@@ -314,15 +274,13 @@ TEST(Kernels, ConflictFreeBinningPermutesButCoversTheGroup) {
       }
       return v;
     };
-    std::vector<index_t> a = elems_of(colored), b = elems_of(strided);
+    std::vector<index_t> a = elems_of(plan);
     EXPECT_EQ(a, elems_of(again)) << "group " << gi << ": binning not deterministic";
+    std::vector<index_t> want = plan.group(gi).elems;
     std::sort(a.begin(), a.end());
-    std::sort(b.begin(), b.end());
-    EXPECT_EQ(a, b) << "group " << gi << ": binning changed the covered element set";
+    std::sort(want.begin(), want.end());
+    EXPECT_EQ(a, want) << "group " << gi << ": binning changed the covered element set";
   }
-  // Coloring::None keeps the legacy dense layout and reports no guarantee.
-  for (index_t b = 0; b < strided.num_blocks(); ++b)
-    EXPECT_FALSE(strided.block_conflict_free(b));
 }
 
 /// Oracle for the conflict-free binning: first-fit over the explicit
@@ -415,85 +373,129 @@ void expect_bins_match_oracle(const BatchPlan& plan, const std::string& what) {
 
 TEST(Kernels, ConflictFreeBinsMatchConflictGraphOracle) {
   for (const char* name : {"trench-paper", "embedding-paper"}) {
-    auto spec = scenarios::get(name);
+    const auto spec = scenarios::get(name);
     // Serial plan: one group per LTS level.
     {
-      const auto m = spec.build_mesh();
-      const auto cfg = spec.config();
-      SemSpace space(m, cfg.order);
-      std::unique_ptr<WaveOperator> op;
-      if (cfg.physics == core::Physics::Acoustic)
-        op = std::make_unique<AcousticOperator>(space);
-      else
-        op = std::make_unique<ElasticOperator>(space);
-      const auto levels = core::assign_levels(m, cfg.courant, cfg.max_levels);
-      const auto st = core::build_lts_structure(space, levels);
-      const core::LtsNewmarkSolver solver(*op, levels, st);
+      const ScenarioRig rig(spec);
+      const core::LtsNewmarkSolver solver(*rig.op, rig.levels, rig.st);
       expect_bins_match_oracle(solver.plan(), std::string(name) + " serial");
     }
     // Threaded plan on 2 ranks: (rank, level) groups.
-    spec.executor = "threaded/level-aware+steal";
-    spec.num_ranks = 2;
-    spec.scheduler.oversubscribe = runtime::Oversubscribe::Warn;
-    const auto sim = spec.make_simulation();
+    const auto sim = threaded_r2(spec);
     ASSERT_NE(sim->threaded(), nullptr);
     expect_bins_match_oracle(sim->threaded()->plan(), std::string(name) + " threaded r2");
   }
 }
 
-TEST(Kernels, ExoticOrderFallsBackToGeneric) {
-  // Order 9 (n1 = 10) has no specialization: Auto must resolve to the same
-  // generic kernel, so the two modes agree bit-for-bit.
-  const auto m = mesh::make_uniform_box(1, 1, 1);
-  SemSpace space(m, 9);
-  AcousticOperator a(space, KernelMode::Auto);
-  AcousticOperator g(space, KernelMode::Generic);
-  const std::size_t n = static_cast<std::size_t>(space.num_global_nodes());
-  Rng rng(7);
-  const auto u = random_field(n, rng);
-  std::vector<real_t> oa(n, 0.0), og(n, 0.0);
-  auto wa = a.make_workspace();
-  auto wg = g.make_workspace();
-  a.apply_add(all_elems(space), u.data(), oa.data(), wa);
-  g.apply_add(all_elems(space), u.data(), og.data(), wg);
-  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(oa[i], og[i]);
-}
-
-TEST(Kernels, LevelMaskClassifiesElements) {
+TEST(Kernels, LevelPlanMasksClassifyElements) {
+  // Per-block level masks of a solver-style level plan: a mixed block's
+  // real-lane mask is exactly [node_level == k] (padded lanes all zero), and
+  // a block without a mask holds only elements homogeneous at level k.
   const auto m = make_test_mesh();
   SemSpace space(m, 3);
   const auto st = two_level_structure(m, space);
-  ASSERT_FALSE(st.mask.empty());
+  const BatchPlan plan = level_plan(space, 1, st, /*homogeneous_first=*/true);
   const int npts = space.nodes_per_elem();
+  const int W = plan.width();
   int homogeneous = 0, mixed = 0;
-  for (index_t e = 0; e < space.num_elems(); ++e) {
-    const level_t h = st.mask.homogeneous(e);
-    if (h != 0) {
-      ++homogeneous;
-      for (int q = 0; q < npts; ++q)
-        EXPECT_EQ(st.node_level[static_cast<std::size_t>(space.elem_nodes(e)[q])], h);
-    } else {
-      ++mixed;
-      for (level_t k = 1; k <= 2; ++k) {
-        const real_t* mk = st.mask.mask(e, k);
-        if (mk == nullptr) continue;
-        for (int q = 0; q < npts; ++q) {
-          const bool is_k =
-              st.node_level[static_cast<std::size_t>(space.elem_nodes(e)[q])] == k;
-          EXPECT_EQ(mk[q], is_k ? 1.0 : 0.0);
+  for (index_t b = 0; b < plan.num_blocks(); ++b) {
+    const level_t k = plan.block_level(b);
+    const index_t* be = plan.block_elems(b);
+    const real_t* mk = plan.mask(b);
+    (mk == nullptr ? homogeneous : mixed) += 1;
+    bool all_homogeneous = true;
+    for (int l = 0; l < W; ++l)
+      for (int q = 0; q < npts; ++q) {
+        const bool is_k = st.node_level[static_cast<std::size_t>(space.elem_nodes(be[l])[q])] == k;
+        if (l < plan.block_fill(b)) all_homogeneous = all_homogeneous && is_k;
+        if (mk != nullptr) {
+          EXPECT_EQ(mk[q * W + l], l < plan.block_fill(b) && is_k ? 1.0 : 0.0)
+              << "block " << b << " lane " << l << " node " << q;
         }
       }
+    if (mk == nullptr) {
+      EXPECT_TRUE(all_homogeneous) << "unmasked block " << b << " is mixed";
+    } else {
+      EXPECT_FALSE(all_homogeneous) << "homogeneous block " << b << " carries a mask";
     }
   }
-  // The synthetic split has both bulk (level-2 left half interiors would be
-  // mixed only at the interface) and interface elements.
+  // The synthetic split has both bulk and level-interface blocks.
   EXPECT_GT(homogeneous, 0);
   EXPECT_GT(mixed, 0);
 }
 
+/// v^{-1/2} = v0 - dt/2 Minv (f(0) - K u0) with K u0 from the oracle.
+std::vector<real_t> expected_v_half(const SemSpace& space, int nc, real_t dt,
+                                    const std::vector<real_t>& u0, const std::vector<real_t>& v0,
+                                    const PointSource& src) {
+  const auto ku = testing_oracle::apply(space, nc, u0);
+  std::vector<real_t> f(u0.size(), 0.0);
+  src.accumulate(0.0, nc, f.data());
+  std::vector<real_t> v(v0.size());
+  for (std::size_t i = 0; i < v.size(); ++i)
+    v[i] = v0[i] - 0.5 * dt * space.inv_mass()[i / static_cast<std::size_t>(nc)] * (f[i] - ku[i]);
+  return v;
+}
+
+TEST(Kernels, SetStateAppliesEveryLevelPlanBlock) {
+  // set_state computes K u0 as the sum of every block of the solver's own
+  // level plan (sum_k K P_k u over E(k) = K u, since sum_k P_k = I): v_half
+  // must match the oracle's staggered start, and no work counter may move.
+  // Skipping any (rank, level) group breaks the identity by O(1).
+  const auto m = mesh::make_strip_mesh(16, 0.3, 4.0);
+  SemSpace space(m, 3);
+  const auto levels = core::assign_levels(m, 0.05);
+  ASSERT_GE(levels.num_levels, 3);
+  const auto st = core::build_lts_structure(space, levels);
+  partition::PartitionerConfig pcfg;
+  pcfg.num_parts = 2;
+  const auto part = partition::partition_mesh(m, levels.elem_level, levels.num_levels, pcfg);
+
+  for (const bool elastic : {false, true}) {
+    std::unique_ptr<WaveOperator> op;
+    if (elastic)
+      op = std::make_unique<ElasticOperator>(space);
+    else
+      op = std::make_unique<AcousticOperator>(space);
+    const int nc = op->ncomp();
+    const std::size_t ndof =
+        static_cast<std::size_t>(space.num_global_nodes()) * static_cast<std::size_t>(nc);
+    Rng rng(elastic ? 31 : 17);
+    const auto u0 = random_field(ndof, rng);
+    auto v0 = random_field(ndof, rng);
+    for (auto& x : v0) x *= 1e-3;
+    // Early Ricker delay so f(0) is O(1) and the source term is checked too.
+    PointSource src = PointSource::at(space, {0.5, 0.5, 0.5}, 2.0, {0.3, -0.5, 0.8});
+    src.wavelet = RickerWavelet(2.0, 0.05);
+    const auto want = expected_v_half(space, nc, levels.dt, u0, v0, src);
+    const std::string phys = elastic ? "elastic" : "acoustic";
+
+    core::LtsNewmarkSolver serial(*op, levels, st);
+    serial.add_source(src);
+    serial.set_state(u0, v0);
+    EXPECT_LT(max_rel_diff(want, serial.v_half()), 1e-13) << phys << " serial";
+    EXPECT_EQ(serial.element_applies(), 0) << phys;
+    EXPECT_EQ(serial.blocks_applied(), 0) << phys;
+
+    for (const auto mode : {runtime::SchedulerMode::BarrierAll, runtime::SchedulerMode::LevelAware,
+                            runtime::SchedulerMode::LevelAwareSteal}) {
+      runtime::SchedulerConfig cfg;
+      cfg.mode = mode;
+      cfg.oversubscribe = runtime::Oversubscribe::Warn;
+      runtime::ThreadedLtsSolver threaded(*op, levels, st, part, cfg);
+      threaded.add_source(src);
+      threaded.set_state(u0, v0);
+      const std::vector<real_t> v(threaded.v_half().begin(), threaded.v_half().end());
+      EXPECT_LT(max_rel_diff(want, v), 1e-13) << phys << " threaded " << to_string(mode);
+      EXPECT_EQ(threaded.element_applies(), 0) << phys << " " << to_string(mode);
+      EXPECT_EQ(threaded.blocks_applied(), 0) << phys << " " << to_string(mode);
+    }
+  }
+}
+
 TEST(Kernels, EnergyConservedThroughSolverOnSpecializedPaths) {
-  // LTS-Newmark smoke test on the production kernel paths (specialized
-  // dispatch + LevelMask gather): the staggered energy must stay in a tight
+  // LTS-Newmark smoke test on the production kernel path (specialized
+  // dispatch + per-block level masks): the staggered energy must stay in a tight
   // band over a few hundred cycles — any kernel/mask inconsistency between
   // levels destroys this immediately.
   const auto m = mesh::make_strip_mesh(16, 0.3, 4.0);
@@ -502,7 +504,6 @@ TEST(Kernels, EnergyConservedThroughSolverOnSpecializedPaths) {
   const auto levels = core::assign_levels(m, 0.05);
   ASSERT_GE(levels.num_levels, 2);
   const auto st = core::build_lts_structure(space, levels);
-  ASSERT_FALSE(st.mask.empty());
   core::LtsNewmarkSolver solver(op, levels, st);
 
   const std::size_t n = static_cast<std::size_t>(space.num_global_nodes());
