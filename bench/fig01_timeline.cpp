@@ -100,9 +100,8 @@ int main() {
   for (const auto& [label, part] : {std::pair{"naive", naive}, std::pair{"balanced", balanced}}) {
     for (const runtime::SchedulerMode mode : runtime::kAllSchedulerModes) {
       runtime::SchedulerConfig scfg;
-      scfg.mode = mode;
       scfg.oversubscribe = runtime::Oversubscribe::Warn;
-      runtime::ThreadedLtsSolver solver(op, lv, st, part, scfg);
+      runtime::ThreadedLtsSolver solver(op, lv, st, part, mode, scfg);
       solver.set_state(u0, v0);
       solver.run_cycles(20); // warm-up
       solver.reset_counters();

@@ -96,9 +96,8 @@ int main() {
   TextTable tt({"scheduler", "wall ms/cycle", "stall s", "steals"});
   for (const runtime::SchedulerMode mode : runtime::kAllSchedulerModes) {
     runtime::SchedulerConfig scfg;
-    scfg.mode = mode;
     scfg.oversubscribe = runtime::Oversubscribe::Warn;
-    runtime::ThreadedLtsSolver solver(op, small.levels, st, part, scfg);
+    runtime::ThreadedLtsSolver solver(op, small.levels, st, part, mode, scfg);
     solver.set_state(u0, v0);
     solver.run_cycles(2);
     solver.reset_counters();

@@ -102,9 +102,8 @@ int main(int argc, char** argv) {
       for (const runtime::SchedulerMode mode : runtime::kAllSchedulerModes) {
         if (k == 1 && mode != runtime::SchedulerMode::BarrierAll) continue;
         runtime::SchedulerConfig scfg;
-        scfg.mode = mode;
         scfg.oversubscribe = runtime::Oversubscribe::Warn;
-        runtime::ThreadedLtsSolver solver(op, levels, st, part, scfg);
+        runtime::ThreadedLtsSolver solver(op, levels, st, part, mode, scfg);
         solver.set_state(u0, v0);
         solver.run_cycles(2); // warm-up
         solver.set_state(u0, v0);
@@ -115,7 +114,7 @@ int main(int argc, char** argv) {
         perf::RunReport report = solver.run_report();
         report.scenario = spec.name;
         report.config = "ranks=" + std::to_string(k) + " partitioner=" + to_string(strat) +
-                        " scheduler=" + to_string(mode) + " n=" + std::to_string(mesh_n) +
+                        " executor=threaded/" + to_string(mode) + " n=" + std::to_string(mesh_n) +
                         " nz=" + std::to_string(mesh_nz);
         report.wall_seconds = wall * cycles;
         reports.push_back(std::move(report));
@@ -177,10 +176,10 @@ int main(int argc, char** argv) {
     pcfg.num_parts = k;
     const auto part = partition::partition_mesh(m, levels.elem_level, levels.num_levels, pcfg);
     runtime::SchedulerConfig scfg;
-    scfg.mode = runtime::SchedulerMode::LevelAware;
     scfg.oversubscribe = runtime::Oversubscribe::Warn;
+    const auto mode = runtime::SchedulerMode::LevelAware;
 
-    runtime::ThreadedLtsSolver before(op, levels, st, part, scfg);
+    runtime::ThreadedLtsSolver before(op, levels, st, part, mode, scfg);
     before.set_state(u0, v0);
     before.run_cycles(2); // warm-up
     before.reset_counters();
@@ -194,7 +193,7 @@ int main(int argc, char** argv) {
 
     const auto refined =
         partition::refine_with_feedback(m, levels.elem_level, levels.num_levels, part, sig, pcfg);
-    runtime::ThreadedLtsSolver after(op, levels, st, refined, scfg);
+    runtime::ThreadedLtsSolver after(op, levels, st, refined, mode, scfg);
     after.adopt_state_from(before); // continues the run mid-simulation
     after.run_cycles(2); // warm the refined layout
     after.reset_counters();

@@ -3,7 +3,7 @@
 //
 //   $ ./scenario_runner                              # list both registries
 //   $ ./scenario_runner scenario=layered
-//   $ ./scenario_runner scenario=crust ranks=4 scheduler=level-aware+steal
+//   $ ./scenario_runner scenario=crust executor=threaded/level-aware+steal ranks=4
 //   $ ./scenario_runner scenario=trench executor=threaded/barrier-all ranks=2 n=10
 //   $ ./scenario_runner scenario=embedding order=4 cycles=12 report=run.json
 //

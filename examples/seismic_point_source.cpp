@@ -8,7 +8,7 @@
 //
 //   $ ./seismic_point_source                       # registry defaults, serial LTS
 //   $ ./seismic_point_source n=12 nz=8             # bigger mesh
-//   $ ./seismic_point_source ranks=4 scheduler=level-aware+steal
+//   $ ./seismic_point_source executor=threaded/level-aware+steal ranks=4
 //   $ ./seismic_point_source executor=threaded/barrier-all ranks=4
 //   $ ./seismic_point_source scenario=crust        # any registered scenario
 //   $ ./seismic_point_source output-dir=out/run1   # CSVs under out/run1/

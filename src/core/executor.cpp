@@ -75,7 +75,14 @@ public:
 protected:
   SerialExecutorBase(std::string name, const ExecutorContext& ctx, std::unique_ptr<Solver> solver)
       : Executor(std::move(name)), ncomp_(ctx.op->ncomp()), solver_(std::move(solver)) {
-    if (ctx.cfg) fault_ = ctx.cfg->fault;
+    if (!ctx.cfg) return;
+    fault_ = ctx.cfg->fault;
+    // Mirrors the threaded backends' rank check: a rank count asks for a
+    // rank-parallel run, which a serial backend must not silently ignore.
+    LTS_CHECK_MSG(ctx.cfg->num_ranks <= 1,
+                  "executor '" << this->name() << "' runs on one rank (got num_ranks="
+                               << ctx.cfg->num_ranks
+                               << ") — select executor=threaded/<mode> for a rank-parallel run");
   }
 
   void do_set_state(std::span<const real_t> u0, std::span<const real_t> v0) override {
@@ -298,12 +305,10 @@ private:
 class ThreadedExecutor final : public Executor {
 public:
   ThreadedExecutor(std::string name, const ExecutorContext& ctx, runtime::SchedulerMode mode)
-      : Executor(std::move(name)), ctx_(ctx) {
+      : Executor(std::move(name)), ctx_(ctx), mode_(mode) {
     LTS_CHECK_MSG(ctx.cfg && ctx.mesh, "executor '" << this->name()
                                                     << "' needs ExecutorContext.cfg and .mesh "
                                                        "(it partitions the mesh)");
-    scfg_ = ctx.cfg->scheduler;
-    scfg_.mode = mode; // the registry key, not the legacy config field, decides
     LTS_CHECK_MSG(ctx.cfg->num_ranks > 1,
                   "executor '" << this->name() << "' needs num_ranks > 1 (got "
                                << ctx.cfg->num_ranks << ")");
@@ -312,8 +317,8 @@ public:
     pc.num_parts = ctx.cfg->num_ranks;
     part_ = partition::partition_mesh(*ctx.mesh, ctx.levels->elem_level, ctx.levels->num_levels,
                                       pc);
-    solver_ = std::make_unique<runtime::ThreadedLtsSolver>(*ctx.op, *ctx.levels, *ctx.structure,
-                                                           part_, scfg_, integrator_for(ctx));
+    solver_ = std::make_unique<runtime::ThreadedLtsSolver>(
+        *ctx.op, *ctx.levels, *ctx.structure, part_, mode_, ctx.cfg->scheduler, integrator_for(ctx));
     if (ctx.cfg->fault.armed()) solver_->set_fault(ctx.cfg->fault);
   }
 
@@ -440,15 +445,15 @@ private:
     pc.num_parts = ctx_.cfg->num_ranks;
     part_ = partition::refine_with_feedback(*ctx_.mesh, ctx_.levels->elem_level,
                                             ctx_.levels->num_levels, part_, sig, pc);
-    auto fresh = std::make_unique<runtime::ThreadedLtsSolver>(*ctx_.op, *ctx_.levels,
-                                                              *ctx_.structure, part_, scfg_,
-                                                              solver_->integrator());
+    auto fresh = std::make_unique<runtime::ThreadedLtsSolver>(
+        *ctx_.op, *ctx_.levels, *ctx_.structure, part_, mode_, ctx_.cfg->scheduler,
+        solver_->integrator());
     fresh->adopt_state_from(*solver_);
     solver_ = std::move(fresh);
   }
 
   ExecutorContext ctx_;
-  runtime::SchedulerConfig scfg_;
+  runtime::SchedulerMode mode_;
   partition::Partition part_;
   std::unique_ptr<runtime::ThreadedLtsSolver> solver_;
 };
@@ -531,10 +536,6 @@ std::vector<std::string> ExecutorFactory::names() const {
   return out; // std::map iteration is already sorted
 }
 
-std::string resolve_executor_name(const SimulationConfig& cfg) {
-  if (!cfg.executor.empty()) return cfg.executor;
-  if (cfg.num_ranks > 1) return "threaded/" + runtime::to_string(cfg.scheduler.mode);
-  return cfg.use_lts ? "serial-lts" : "newmark";
-}
+std::string resolve_executor_name(const SimulationConfig& cfg) { return cfg.executor; }
 
 } // namespace ltswave::core

@@ -333,11 +333,13 @@ private:
   mutable bool state_dirty_ = true;
 };
 
-/// String-keyed registry of execution backends. Builtins ("newmark",
-/// "serial-lts", "threaded/<mode>" for every SchedulerMode) self-register on
-/// first use; external backends (MPI, batched-kernel, ...) call
-/// register_backend once at startup and every facade, bench and conformance
-/// grid picks them up by name.
+/// String-keyed registry of execution backends — the only place a backend or
+/// a scheduler mode is chosen. Builtins ("newmark", "serial-lts",
+/// "threaded/<mode>" for every SchedulerMode) self-register on first use. The
+/// three threaded modes differ only in barrier participation and stealing,
+/// so they give bitwise-identical results. External backends (MPI,
+/// batched-kernel, ...) call register_backend once at startup and every
+/// facade, bench and conformance grid picks them up by name.
 class ExecutorFactory {
 public:
   using Builder = std::function<std::unique_ptr<Executor>(const ExecutorContext&)>;
@@ -379,11 +381,8 @@ private:
   std::map<std::string, Entry, std::less<>> backends_;
 };
 
-/// The registry key `cfg` resolves to: `cfg.executor` verbatim when set, else
-/// the legacy-field shim — num_ranks > 1 selects "threaded/<scheduler mode>",
-/// use_lts selects "serial-lts", otherwise "newmark". Keeping the shim here
-/// (not in the facade) makes `SimulationConfig{num_ranks, scheduler}` call
-/// sites and the executor-name API provably identical.
+/// The registry key `cfg` selects: `cfg.executor`, the one place a backend
+/// and scheduler mode are chosen.
 [[nodiscard]] std::string resolve_executor_name(const SimulationConfig& cfg);
 
 } // namespace ltswave::core

@@ -31,18 +31,14 @@ Physics parse_physics(std::string_view name) {
 std::string to_string(const SimulationConfig& cfg) {
   std::ostringstream os;
   os << "order=" << cfg.order << " physics=" << to_string(cfg.physics)
-     << " courant=" << kv::format_real(cfg.courant) << " lts=" << (cfg.use_lts ? "on" : "off")
-     << " max-levels=" << cfg.max_levels << " ranks=" << cfg.num_ranks
-     << " partitioner=" << partition::cli_name(cfg.partitioner)
-     << " feedback=" << cfg.feedback_warmup_cycles
-     << " executor=" << (cfg.executor.empty() ? "auto" : cfg.executor)
-     << " scheduler.mode=" << runtime::to_string(cfg.scheduler.mode)
-     << " scheduler.oversubscribe=" << runtime::to_string(cfg.scheduler.oversubscribe)
-     << " scheduler.chunk=" << cfg.scheduler.chunk_elems;
+     << " courant=" << kv::format_real(cfg.courant) << " max-levels=" << cfg.max_levels
+     << " ranks=" << cfg.num_ranks << " partitioner=" << partition::cli_name(cfg.partitioner)
+     << " feedback=" << cfg.feedback_warmup_cycles << " executor=" << cfg.executor
+     << " integrator=" << cfg.integrator
+     << " scheduler.oversubscribe=" << runtime::to_string(cfg.scheduler.oversubscribe);
   // Opt-in keys print only when set, so configs that never touch them keep
   // the exact historical string (pinned in docs and reports). Defaults apply
   // to omitted keys on parse, so the round-trip guarantee holds either way.
-  if (!cfg.integrator.empty()) os << " integrator=" << cfg.integrator;
   if (cfg.scheduler.watchdog_seconds != 0)
     os << " scheduler.watchdog=" << kv::format_real(cfg.scheduler.watchdog_seconds);
   if (cfg.health_every != 0) os << " health-every=" << cfg.health_every;
@@ -54,15 +50,6 @@ std::string to_string(const SimulationConfig& cfg) {
   return os.str();
 }
 
-SimulationConfig effective_config(SimulationConfig cfg) {
-  constexpr std::string_view kThreaded = "threaded/";
-  if (cfg.executor.starts_with(kThreaded))
-    if (const auto mode =
-            runtime::parse_scheduler_mode(std::string_view(cfg.executor).substr(kThreaded.size())))
-      cfg.scheduler.mode = *mode;
-  return cfg;
-}
-
 bool try_simulation_config_key(SimulationConfig& cfg, std::string_view key,
                                std::string_view value) {
   if (key == "order") {
@@ -71,8 +58,6 @@ bool try_simulation_config_key(SimulationConfig& cfg, std::string_view key,
     cfg.physics = parse_physics(value);
   } else if (key == "courant") {
     cfg.courant = kv::parse_real(key, value);
-  } else if (key == "lts") {
-    cfg.use_lts = kv::parse_bool(key, value);
   } else if (key == "max-levels") {
     cfg.max_levels = kv::parse_int_as<level_t>(key, value);
   } else if (key == "ranks") {
@@ -82,17 +67,13 @@ bool try_simulation_config_key(SimulationConfig& cfg, std::string_view key,
   } else if (key == "feedback") {
     cfg.feedback_warmup_cycles = kv::parse_int_as<int>(key, value);
   } else if (key == "executor") {
-    cfg.executor = value == "auto" ? std::string{} : value;
+    cfg.executor = value;
   } else if (key == "integrator") {
     // Validate and canonicalize eagerly: a typo should fail at parse time,
     // and aliases ("stabilized-leapfrog") should not leak into checkpoints.
     cfg.integrator = std::string(Integrator::parse(value).name());
-  } else if (key == "scheduler" || key == "scheduler.mode") {
-    cfg.scheduler.mode = runtime::parse_scheduler_mode_or_throw(value);
   } else if (key == "oversubscribe" || key == "scheduler.oversubscribe") {
     cfg.scheduler.oversubscribe = runtime::parse_oversubscribe(value);
-  } else if (key == "chunk" || key == "scheduler.chunk") {
-    cfg.scheduler.chunk_elems = kv::parse_int_as<index_t>(key, value);
   } else if (key == "watchdog" || key == "scheduler.watchdog") {
     cfg.scheduler.watchdog_seconds = kv::parse_real(key, value);
     LTS_CHECK_MSG(cfg.scheduler.watchdog_seconds >= 0,
@@ -119,11 +100,9 @@ bool try_simulation_config_key(SimulationConfig& cfg, std::string_view key,
 }
 
 std::string_view simulation_config_keys_help() {
-  return "order | physics | courant | lts | max-levels | ranks | partitioner | feedback | "
-         "executor | integrator | scheduler[.mode] | [scheduler.]oversubscribe | "
-         "[scheduler.]chunk | "
-         "[scheduler.]watchdog | health-every | "
-         "fault.{kind,cycle,rank,stall-ms,seed}";
+  return "order | physics | courant | max-levels | ranks | partitioner | feedback | "
+         "executor | integrator | [scheduler.]oversubscribe | [scheduler.]watchdog | "
+         "health-every | fault.{kind,cycle,rank,stall-ms,seed}";
 }
 
 SimulationConfig parse_simulation_config(std::string_view text) {
@@ -136,9 +115,8 @@ SimulationConfig parse_simulation_config(std::string_view text) {
 }
 
 WaveSimulation::WaveSimulation(mesh::HexMesh mesh, SimulationConfig cfg)
-    : cfg_(effective_config(std::move(cfg))), mesh_(std::move(mesh)) {
+    : cfg_(std::move(cfg)), mesh_(std::move(mesh)) {
   auto& factory = ExecutorFactory::instance();
-  executor_name_ = resolve_executor_name(cfg_);
 
   space_ = std::make_unique<sem::SemSpace>(mesh_, cfg_.order);
   if (cfg_.physics == Physics::Acoustic)
@@ -148,14 +126,10 @@ WaveSimulation::WaveSimulation(mesh::HexMesh mesh, SimulationConfig cfg)
 
   // The backend decides the level layout: LTS backends get the real
   // multi-level assignment, single-rate reference schemes ("newmark") run at
-  // the global CFL minimum. Under the legacy shim (no explicit executor) the
-  // old `use_lts` field keeps deciding, so pre-existing call sites like
-  // {use_lts=false, num_ranks=4} — a threaded run at the global minimum step
-  // — behave exactly as before the Executor seam.
-  const bool multi_level = cfg_.executor.empty() ? cfg_.use_lts
-                                                 : factory.uses_lts_levels(executor_name_);
-  levels_ = multi_level ? assign_levels(mesh_, cfg_.courant, cfg_.max_levels)
-                        : assign_single_level(mesh_, cfg_.courant);
+  // the global CFL minimum.
+  levels_ = factory.uses_lts_levels(cfg_.executor)
+                ? assign_levels(mesh_, cfg_.courant, cfg_.max_levels)
+                : assign_single_level(mesh_, cfg_.courant);
   structure_ = build_lts_structure(*space_, levels_);
 
   ExecutorContext ctx;
@@ -165,7 +139,7 @@ WaveSimulation::WaveSimulation(mesh::HexMesh mesh, SimulationConfig cfg)
   ctx.mesh = &mesh_;
   ctx.space = space_.get();
   ctx.cfg = &cfg_;
-  executor_ = factory.create(executor_name_, ctx);
+  executor_ = factory.create(cfg_.executor, ctx);
 
   if (cfg_.health_every >= 0) guard_ = std::make_unique<resilience::HealthGuard>(*space_);
 }
@@ -224,7 +198,7 @@ const partition::Partition& WaveSimulation::part() const noexcept {
 void WaveSimulation::refine_partition_from_feedback() {
   LTS_CHECK_MSG(executor_->supports_feedback(),
                 "feedback repartitioning needs a rank-parallel executor (num_ranks > 1); '"
-                    << executor_name_ << "' is not one");
+                    << cfg_.executor << "' is not one");
   executor_->refine_from_feedback();
   feedback_applied_ = true;
 }
@@ -283,7 +257,7 @@ resilience::Checkpoint WaveSimulation::checkpoint() {
   // the snapshot's trace arrays must be the complete record up to time().
   executor_->drain_receivers(receivers_);
   resilience::Checkpoint ck;
-  ck.executor = executor_name_;
+  ck.executor = cfg_.executor;
   ck.config = to_string(cfg_);
   ck.state = executor_->export_state();
   ck.traces.reserve(receivers_.size());

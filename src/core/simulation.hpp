@@ -8,11 +8,13 @@
 ///
 /// Execution is fully pluggable: the facade holds exactly one core::Executor
 /// created by name through ExecutorFactory (see executor.hpp) and contains no
-/// per-backend branching. Select a backend explicitly with
-/// SimulationConfig::executor ("serial-lts", "newmark", "threaded/<mode>",
-/// or any externally registered name), or leave it empty and let the legacy
-/// fields (use_lts, num_ranks, scheduler) resolve it — the deprecation shim
-/// keeps existing call sites running unchanged and provably identical.
+/// per-backend branching. SimulationConfig::executor is the one place a
+/// backend — and, for "threaded/<mode>", a scheduler mode — is chosen
+/// ("serial-lts" by default, "newmark", "threaded/barrier-all",
+/// "threaded/level-aware", "threaded/level-aware+steal", or any externally
+/// registered name). The threaded modes differ only in which ranks join a
+/// level barrier and whether idle ranks steal, so all three produce
+/// bitwise-identical results.
 
 #include <functional>
 #include <memory>
@@ -47,12 +49,12 @@ struct SimulationConfig {
   int order = 4;               ///< SEM polynomial order (paper: 4 -> 125 nodes/elem)
   Physics physics = Physics::Acoustic;
   real_t courant = 0.12;       ///< CFL constant C_cfl of Eq. 7 (relative to min edge)
-  bool use_lts = true;         ///< legacy shim: false resolves to the "newmark" executor
   level_t max_levels = 12;
-  /// Legacy shim for rank-parallel shared-memory execution: > 1 resolves to
-  /// the "threaded/<scheduler.mode>" executor on that many ranks. Threaded
-  /// executors selected by name also read their rank count from here.
+  /// Rank count of the "threaded/<mode>" executors, which need > 1; the
+  /// serial backends reject > 1 rather than silently run on one.
   rank_t num_ranks = 0;
+  /// Mode-independent runtime knobs of the threaded executors (the mode
+  /// itself comes from the executor name).
   runtime::SchedulerConfig scheduler{};
   partition::Strategy partitioner = partition::Strategy::ScotchP;
   /// Steal/stall-feedback repartitioning (feedback-capable executors only):
@@ -62,15 +64,14 @@ struct SimulationConfig {
   /// the refined partition with the state carried over exactly, and
   /// continues. 0 = off.
   int feedback_warmup_cycles = 0;
-  /// Execution backend by ExecutorFactory name; empty = resolve from the
-  /// legacy fields above (see resolve_executor_name in executor.hpp).
-  std::string executor;
-  /// Time-integrator name (core/integrator.hpp): "newmark" (default, also
-  /// selected by the empty string) or "leapfrog-stab" — the Grote/Michel/
+  /// Execution backend by ExecutorFactory name.
+  std::string executor = "serial-lts";
+  /// Time-integrator name (core/integrator.hpp): "newmark" (default) or
+  /// "leapfrog-stab" — the Grote/Michel/
   /// Sauter stabilized leapfrog substep rule on the deepest LTS level.
   /// Orthogonal to `executor`: every LTS backend honors it; the single-level
   /// "newmark" backend rejects anything but the default.
-  std::string integrator;
+  std::string integrator = "newmark";
   /// Health-guard cadence: -1 disables it, 0 (default) checks the state once
   /// at the end of every run() call — free relative to a run's kernel work —
   /// and N > 0 splits each run into N-cycle chunks checked individually.
@@ -81,27 +82,21 @@ struct SimulationConfig {
   bool operator==(const SimulationConfig&) const = default;
 };
 
-/// "order=4 physics=acoustic courant=0.12 lts=on max-levels=12 ranks=0
-///  partitioner=scotch-p feedback=0 executor=auto scheduler.mode=level-aware
-///  scheduler.oversubscribe=forbid scheduler.chunk=0" — round-trips through
-/// parse_simulation_config exactly. Opt-in keys (integrator, the resilience
-/// family) print only when set, so default configs keep this exact string.
+/// "order=4 physics=acoustic courant=0.12 max-levels=12 ranks=0
+///  partitioner=scotch-p feedback=0 executor=serial-lts integrator=newmark
+///  scheduler.oversubscribe=forbid" — names the backend (and scheduler mode)
+/// and integrator that ran, and round-trips through parse_simulation_config
+/// exactly. Opt-in keys (the watchdog and the resilience family) print only
+/// when set, so default configs keep this exact string.
 [[nodiscard]] std::string to_string(const SimulationConfig& cfg);
-
-/// `cfg` as it runs: a "threaded/<mode>" executor name decides the
-/// scheduler mode (the legacy scheduler.mode field does not), so that mode
-/// is copied into scheduler.mode; any other config comes back unchanged. The
-/// facade keeps its config in this form, so run reports and checkpoints echo
-/// the mode that actually ran.
-[[nodiscard]] SimulationConfig effective_config(SimulationConfig cfg);
 
 /// Applies one `key=value` setting to `cfg`. Returns false when `key` is not
 /// a SimulationConfig key (bad values for known keys still throw, with a
 /// message listing the accepted spellings). Accepts both the dotted keys
-/// to_string prints (scheduler.mode=...) and the short scenario-CLI
-/// spellings (scheduler=..., oversubscribe=..., chunk=...) — the one dispatch
-/// both parse_simulation_config and ScenarioSpec::apply_override share, so
-/// the two CLI surfaces cannot drift.
+/// to_string prints (scheduler.oversubscribe=...) and the short scenario-CLI
+/// spellings (oversubscribe=..., watchdog=...) — the one dispatch both
+/// parse_simulation_config and ScenarioSpec::apply_override share, so the two
+/// CLI surfaces cannot drift.
 [[nodiscard]] bool try_simulation_config_key(SimulationConfig& cfg, std::string_view key,
                                              std::string_view value);
 
@@ -189,7 +184,7 @@ public:
   /// The execution backend driving this simulation and its registry name.
   [[nodiscard]] const Executor& executor() const noexcept { return *executor_; }
   [[nodiscard]] Executor& executor() noexcept { return *executor_; }
-  [[nodiscard]] const std::string& executor_name() const noexcept { return executor_name_; }
+  [[nodiscard]] const std::string& executor_name() const noexcept { return cfg_.executor; }
 
   /// The rank-parallel solver when the backend is threaded, else nullptr.
   /// Exposes scheduler mode, per-rank busy/stall/steal counters, and
@@ -212,7 +207,6 @@ public:
 
 private:
   SimulationConfig cfg_;
-  std::string executor_name_;
   mesh::HexMesh mesh_;
   std::unique_ptr<sem::SemSpace> space_;
   std::unique_ptr<sem::WaveOperator> op_;

@@ -73,10 +73,13 @@ SupervisorResult Supervisor::run() {
       // the fault that just fired (a real failure, by contrast, recurs on its
       // own and exhausts the retries).
       spec.fault = {};
-      if (policy.on_blowup == RecoveryPolicy::OnBlowup::HalveDt)
+      if (policy.on_blowup == RecoveryPolicy::OnBlowup::HalveDt) {
         spec.courant /= 2;
-      else
+      } else {
         spec.executor = policy.fallback;
+        // Serial backends reject a rank count; a threaded fallback keeps it.
+        if (!spec.executor.starts_with("threaded/")) spec.num_ranks = 0;
+      }
 
       sim = spec.make_simulation();
       // Policy-driven restores change dt deliberately (halve_dt always;

@@ -1,9 +1,6 @@
 #include "runtime/scheduler.hpp"
 
-#include <sstream>
-
 #include "common/check.hpp"
-#include "common/kv.hpp"
 
 namespace ltswave::runtime {
 
@@ -14,34 +11,6 @@ std::string to_string(SchedulerMode mode) {
     case SchedulerMode::LevelAwareSteal: return "level-aware+steal";
   }
   return "unknown";
-}
-
-std::optional<SchedulerMode> parse_scheduler_mode(std::string_view name) {
-  for (const SchedulerMode m : kAllSchedulerModes)
-    if (name == to_string(m)) return m;
-  return std::nullopt;
-}
-
-namespace {
-
-std::string scheduler_mode_spellings() {
-  std::ostringstream os;
-  bool first = true;
-  for (const SchedulerMode m : kAllSchedulerModes) {
-    if (!first) os << " | ";
-    os << to_string(m);
-    first = false;
-  }
-  return os.str();
-}
-
-} // namespace
-
-SchedulerMode parse_scheduler_mode_or_throw(std::string_view name) {
-  const auto m = parse_scheduler_mode(name);
-  LTS_CHECK_MSG(m, "unknown scheduler mode '" << name << "' (want "
-                                              << scheduler_mode_spellings() << ")");
-  return *m;
 }
 
 std::string to_string(Oversubscribe policy) {
@@ -57,34 +26,6 @@ Oversubscribe parse_oversubscribe(std::string_view name) {
   if (name == "warn") return Oversubscribe::Warn;
   LTS_CHECK_MSG(false, "unknown oversubscribe policy '" << name << "' (want forbid | warn)");
   return Oversubscribe::Forbid;
-}
-
-std::string to_string(const SchedulerConfig& cfg) {
-  std::ostringstream os;
-  os << "mode=" << to_string(cfg.mode) << " oversubscribe=" << to_string(cfg.oversubscribe)
-     << " chunk=" << cfg.chunk_elems << " watchdog=" << kv::format_real(cfg.watchdog_seconds);
-  return os.str();
-}
-
-SchedulerConfig parse_scheduler_config(std::string_view text) {
-  SchedulerConfig cfg;
-  for (const auto& [key, value] : kv::split(text)) {
-    if (key == "mode") {
-      cfg.mode = parse_scheduler_mode_or_throw(value);
-    } else if (key == "oversubscribe") {
-      cfg.oversubscribe = parse_oversubscribe(value);
-    } else if (key == "chunk") {
-      cfg.chunk_elems = kv::parse_int_as<index_t>(key, value);
-    } else if (key == "watchdog") {
-      cfg.watchdog_seconds = kv::parse_real(key, value);
-      LTS_CHECK_MSG(cfg.watchdog_seconds >= 0, "watchdog timeout must be >= 0 seconds");
-    } else {
-      LTS_CHECK_MSG(false,
-                    "unknown scheduler key '"
-                        << key << "' (want mode | oversubscribe | chunk | watchdog)");
-    }
-  }
-  return cfg;
 }
 
 } // namespace ltswave::runtime

@@ -2,34 +2,35 @@
 
 /// \file scheduler.hpp
 /// Scheduler policy for the rank-parallel LTS runtime. Split out of
-/// threaded_lts.hpp so the core::Simulation facade and the benches can select
+/// threaded_lts.hpp so the core::Simulation facade and the benches can name
 /// a mode without pulling in the whole executor.
 ///
-/// Three modes, in increasing order of load-imbalance tolerance:
-///  * BarrierAll      — the legacy structure: every rank synchronizes at every
-///    LTS substep, even ranks with zero elements in the active level. This is
-///    the paper's plain MPI execution model and the Fig. 1 baseline.
+/// Three modes, in increasing order of load-imbalance tolerance. They run the
+/// same chunked evaluation and the same fixed (rank, chunk)-ordered
+/// reduction, so every mode produces bitwise-identical results; they differ
+/// only in which ranks join a level barrier and whether idle ranks steal:
+///  * BarrierAll      — every rank synchronizes at every LTS substep, even
+///    ranks with zero elements in the active level. This is the paper's plain
+///    MPI execution model and the Fig. 1 baseline.
 ///  * LevelAware      — per-level participation barriers: only ranks with work
 ///    at level k or finer take part in level-k substep barriers, so a rank
 ///    that owns only coarse elements sleeps through the whole fine-level
 ///    recursion at a single coarse barrier instead of being woken at every
 ///    fine substep.
-///  * LevelAwareSteal — LevelAware plus chunked per-level element work queues
-///    with work stealing between the ranks participating in a level, which
-///    absorbs the residual intra-level imbalance the partitioner leaves
-///    behind. Stolen chunks accumulate into per-chunk buffers reduced in a
-///    fixed (rank, chunk) order, so the mode is bitwise reproducible run to
-///    run; results match the serial solver to roundoff.
+///  * LevelAwareSteal — LevelAware plus work stealing: a rank that drains its
+///    own chunk queue for a level goes on to its peers' queues, which absorbs
+///    the residual intra-level imbalance the partitioner leaves behind.
 ///
-/// SchedulerConfig is a plain value type with no behaviour of its own: the
-/// solver copies it at construction and never reads it again from the
-/// caller's storage, so the caller may reuse or destroy its copy freely.
-/// Changing the mode of a running solver is deliberately impossible —
-/// schedule structure is baked into the per-rank work lists at build time;
-/// build a fresh solver (or executor, via adopt_state_from hand-off) to
-/// switch modes mid-experiment.
+/// The mode is chosen once, by the executor registry key
+/// ("threaded/<mode>"), and handed to the solver's constructor; changing the
+/// mode of a running solver is deliberately impossible — build a fresh solver
+/// (or executor, via adopt_state_from hand-off) to switch modes
+/// mid-experiment.
+///
+/// SchedulerConfig carries the mode-independent runtime knobs. It is a plain
+/// value type with no behaviour of its own: the solver copies it at
+/// construction and never reads the caller's storage again.
 
-#include <optional>
 #include <string>
 #include <string_view>
 
@@ -44,15 +45,9 @@ enum class SchedulerMode {
   LevelAwareSteal,
 };
 
+/// "barrier-all", "level-aware", "level-aware+steal" — the suffix of the
+/// mode's "threaded/<mode>" executor name.
 [[nodiscard]] std::string to_string(SchedulerMode mode);
-
-/// Parses "barrier-all", "level-aware", "level-aware+steal" (the bench/CLI
-/// spellings); returns nullopt for anything else.
-[[nodiscard]] std::optional<SchedulerMode> parse_scheduler_mode(std::string_view name);
-
-/// Like parse_scheduler_mode but throws CheckFailure naming every accepted
-/// spelling — the CLI/ScenarioSpec entry point, where a typo must fail loudly.
-[[nodiscard]] SchedulerMode parse_scheduler_mode_or_throw(std::string_view name);
 
 /// All three modes are listed here so benches can iterate them.
 inline constexpr SchedulerMode kAllSchedulerModes[] = {
@@ -62,12 +57,8 @@ inline constexpr SchedulerMode kAllSchedulerModes[] = {
 [[nodiscard]] Oversubscribe parse_oversubscribe(std::string_view name);
 
 struct SchedulerConfig {
-  SchedulerMode mode = SchedulerMode::LevelAware;
   /// More ranks than hardware threads throws by default (see thread_pool.hpp).
   Oversubscribe oversubscribe = Oversubscribe::Forbid;
-  /// Elements per work-stealing chunk (LevelAwareSteal only); 0 picks a size
-  /// that gives each participating rank several chunks per level.
-  index_t chunk_elems = 0;
   /// Stall watchdog timeout in seconds for the worker team; 0 disables it.
   /// When armed, a run_cycles call where no worker makes progress for this
   /// long throws resilience::WorkerStall instead of hanging forever.
@@ -75,14 +66,5 @@ struct SchedulerConfig {
 
   bool operator==(const SchedulerConfig&) const = default;
 };
-
-/// "mode=level-aware oversubscribe=forbid chunk=0 watchdog=0" — round-trips
-/// through parse_scheduler_config exactly.
-[[nodiscard]] std::string to_string(const SchedulerConfig& cfg);
-
-/// Parses the to_string format (keys in any order, all optional; defaults
-/// apply to omitted keys). Throws CheckFailure with the accepted keys and
-/// spellings on any unknown key or bad value.
-[[nodiscard]] SchedulerConfig parse_scheduler_config(std::string_view text);
 
 } // namespace ltswave::runtime

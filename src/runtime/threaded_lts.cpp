@@ -15,12 +15,13 @@ namespace ltswave::runtime {
 ThreadedLtsSolver::ThreadedLtsSolver(const sem::WaveOperator& op,
                                      const core::LevelAssignment& levels,
                                      const core::LtsStructure& structure,
-                                     const partition::Partition& part, SchedulerConfig cfg,
-                                     core::Integrator integ)
+                                     const partition::Partition& part, SchedulerMode mode,
+                                     SchedulerConfig cfg, core::Integrator integ)
     : op_(&op),
       levels_(&levels),
       structure_(&structure),
       part_(&part),
+      mode_(mode),
       cfg_(cfg),
       integ_(integ),
       nranks_(part.num_parts),
@@ -47,7 +48,7 @@ ThreadedLtsSolver::ThreadedLtsSolver(const sem::WaveOperator& op,
 
   build_rank_data();
   build_participation();
-  if (cfg_.mode == SchedulerMode::LevelAwareSteal) build_chunks();
+  build_chunks();
 
   level_barriers_.resize(static_cast<std::size_t>(nl));
   for (level_t k = 1; k <= nl; ++k) {
@@ -70,7 +71,7 @@ ThreadedLtsSolver::ThreadedLtsSolver(const sem::WaveOperator& op,
   // by its own pool worker, so first touch pins the pages to the worker's
   // memory node.
   first_touch_rank_buffers();
-  if (cfg_.mode == SchedulerMode::LevelAwareSteal) build_steal_reduction();
+  build_reduction();
 }
 
 void ThreadedLtsSolver::first_touch_rank_buffers() {
@@ -123,11 +124,6 @@ void ThreadedLtsSolver::build_rank_data() {
   ranks_.resize(static_cast<std::size_t>(nranks_));
   for (auto& rd : ranks_) {
     rd.eval_elems.assign(static_cast<std::size_t>(nl), {});
-    rd.private_rows.assign(static_cast<std::size_t>(nl), {});
-    rd.solo_rows.assign(static_cast<std::size_t>(nl), {});
-    rd.shared_rows.assign(static_cast<std::size_t>(nl), {});
-    rd.shared_offsets.assign(static_cast<std::size_t>(nl), {});
-    rd.shared_touchers.assign(static_cast<std::size_t>(nl), {});
     rd.owned_rows.assign(static_cast<std::size_t>(nl), {});
     rd.update_rows.assign(static_cast<std::size_t>(nl), {});
     rd.recon_rows.assign(static_cast<std::size_t>(nl), {});
@@ -139,7 +135,7 @@ void ThreadedLtsSolver::build_rank_data() {
   }
 
   for (level_t k = 1; k <= nl; ++k) {
-    // Split E(k) by element owner and gather per-rank private rows.
+    // Split E(k) by element owner and gather the (row, touching rank) pairs.
     std::vector<std::pair<gindex_t, rank_t>> touch_pairs; // (row, rank)
     for (index_t e : st.eval_elems[static_cast<std::size_t>(k - 1)]) {
       const rank_t r = part_->part[static_cast<std::size_t>(e)];
@@ -148,34 +144,14 @@ void ThreadedLtsSolver::build_rank_data() {
       for (int q = 0; q < npts; ++q) touch_pairs.emplace_back(l2g[q], r);
     }
     std::sort(touch_pairs.begin(), touch_pairs.end());
-    touch_pairs.erase(std::unique(touch_pairs.begin(), touch_pairs.end()), touch_pairs.end());
-
-    // Per-rank private rows (rows their own elements touch).
-    for (const auto& [g, r] : touch_pairs)
-      ranks_[static_cast<std::size_t>(r)].private_rows[static_cast<std::size_t>(k - 1)].push_back(g);
 
     // Reduction ownership: the minimum touching rank owns the row at this
-    // level; rows with one toucher are copies, others sum a toucher list.
-    std::size_t i = 0;
-    while (i < touch_pairs.size()) {
-      std::size_t j = i;
-      while (j < touch_pairs.size() && touch_pairs[j].first == touch_pairs[i].first) ++j;
-      const gindex_t g = touch_pairs[i].first;
-      const rank_t owner = touch_pairs[i].second; // sorted -> min rank first
-      auto& rd = ranks_[static_cast<std::size_t>(owner)];
-      if (j - i == 1) {
-        rd.solo_rows[static_cast<std::size_t>(k - 1)].emplace_back(g, touch_pairs[i].second);
-      } else {
-        auto& offs = rd.shared_offsets[static_cast<std::size_t>(k - 1)];
-        auto& tchs = rd.shared_touchers[static_cast<std::size_t>(k - 1)];
-        if (offs.empty()) offs.push_back(0);
-        rd.shared_rows[static_cast<std::size_t>(k - 1)].push_back(g);
-        for (std::size_t p = i; p < j; ++p) tchs.push_back(touch_pairs[p].second);
-        offs.push_back(static_cast<index_t>(tchs.size()));
-      }
-      rd.owned_rows[static_cast<std::size_t>(k - 1)].push_back(g);
-      i = j;
-    }
+    // level (pairs are sorted, so a row's first pair names its owner).
+    for (std::size_t i = 0; i < touch_pairs.size(); ++i)
+      if (i == 0 || touch_pairs[i].first != touch_pairs[i - 1].first)
+        ranks_[static_cast<std::size_t>(touch_pairs[i].second)]
+            .owned_rows[static_cast<std::size_t>(k - 1)]
+            .push_back(touch_pairs[i].first);
 
     // Row-update ownership uses the global row owner.
     for (gindex_t g : st.update_rows[static_cast<std::size_t>(k - 1)])
@@ -222,16 +198,16 @@ void ThreadedLtsSolver::build_participation() {
     // any finer level (monotone closure: fine substeps are nested inside
     // coarse phases, and the row/force state written at level k is published
     // to coarser readers through the enclosing coarser barrier — so finer
-    // ranks must join coarser barriers, never the other way around). The
-    // legacy barrier-all mode keeps everyone in every level.
+    // ranks must join coarser barriers, never the other way around).
+    // Barrier-all keeps everyone in every level: the one place, besides
+    // stealing in eval_phase, where the scheduler mode matters.
     bool finer = false;
     for (level_t k = nl; k >= 1; --k) {
       const auto L = static_cast<std::size_t>(k - 1);
-      const bool work = !rd.eval_elems[L].empty() || !rd.private_rows[L].empty() ||
-                        !rd.solo_rows[L].empty() || !rd.shared_rows[L].empty() ||
+      const bool work = !rd.eval_elems[L].empty() || !rd.owned_rows[L].empty() ||
                         !rd.update_rows[L].empty() || !rd.recon_rows[L].empty();
       finer = finer || work;
-      const bool take_part = cfg_.mode == SchedulerMode::BarrierAll || finer;
+      const bool take_part = mode_ == SchedulerMode::BarrierAll || finer;
       part_mask_[L * static_cast<std::size_t>(nranks_) + static_cast<std::size_t>(r)] =
           take_part ? 1 : 0;
     }
@@ -264,16 +240,10 @@ void ThreadedLtsSolver::build_chunks() {
       // Chunks are whole plan blocks, so stealing moves block-aligned work
       // and the batched kernel never splits a block. Several chunks per rank
       // so idle participants find work to steal, but large enough that the
-      // per-chunk launch stays negligible; an explicit chunk_elems is rounded
-      // up to whole blocks.
-      index_t size_blocks;
-      if (cfg_.chunk_elems > 0) {
-        size_blocks = std::max<index_t>(1, (cfg_.chunk_elems + W - 1) / W);
-      } else {
-        const auto n = static_cast<index_t>(rd.eval_elems[L].size());
-        const index_t size_elems = std::clamp<index_t>(n / 8, index_t{4}, index_t{128});
-        size_blocks = std::max<index_t>(1, (size_elems + W - 1) / W);
-      }
+      // per-chunk launch stays negligible.
+      const auto n = static_cast<index_t>(rd.eval_elems[L].size());
+      const index_t size_elems = std::clamp<index_t>(n / 8, index_t{4}, index_t{128});
+      const index_t size_blocks = std::max<index_t>(1, (size_elems + W - 1) / W);
       for (index_t b = range.first; b < range.last; b += size_blocks) {
         Chunk ch;
         ch.first_block = b;
@@ -301,7 +271,7 @@ void ThreadedLtsSolver::build_chunks() {
   }
 }
 
-void ThreadedLtsSolver::build_steal_reduction() {
+void ThreadedLtsSolver::build_reduction() {
   const auto& space = op_->space();
   const level_t nl = levels_->num_levels;
   const auto nc = static_cast<std::size_t>(ncomp_);
@@ -309,8 +279,8 @@ void ThreadedLtsSolver::build_steal_reduction() {
   // Static reduction map: every chunk-row contribution is attached to the
   // row's owning rank in (rank, chunk) ascending order. The association of
   // the floating-point sum is thereby fixed at build time — it cannot depend
-  // on which thread ends up executing a chunk, so the stealing scheduler is
-  // bitwise reproducible run to run.
+  // on which thread ends up executing a chunk, so every mode — stealing
+  // included — is bitwise reproducible run to run, and the modes agree.
   const auto nn = static_cast<std::size_t>(space.num_global_nodes());
   std::vector<rank_t> owner_of(nn);
   std::vector<index_t> pos_of(nn);
@@ -429,7 +399,7 @@ void ThreadedLtsSolver::fill_phases(perf::RunReport& report) const {
 
 perf::RunReport ThreadedLtsSolver::run_report() const {
   perf::RunReport r;
-  r.executor = "threaded/" + to_string(cfg_.mode);
+  r.executor = "threaded/" + to_string(mode_);
   r.cycles = cycles_done_;
   r.time = static_cast<double>(time());
   r.element_applies = element_applies();
@@ -580,41 +550,31 @@ void ThreadedLtsSolver::eval_phase(rank_t r, level_t k) {
   if (!participates(r, k)) return;
   auto& rd = ranks_[static_cast<std::size_t>(r)];
   const auto L = static_cast<std::size_t>(k - 1);
-  const bool steal = cfg_.mode == SchedulerMode::LevelAwareSteal;
   const WallTimer timer;
 
-  if (steal) {
-    // Chunked evaluation with work stealing among the level's participants;
-    // every chunk is a whole-block range of the batched plan.
-    auto& my_cursor = rd.chunk_cursor[L];
-    my_cursor.store(0, std::memory_order_relaxed);
-    auto& mine = rd.chunks[L];
-    for (index_t c;
-         (c = my_cursor.fetch_add(1, std::memory_order_relaxed)) < static_cast<index_t>(mine.size());)
-      run_chunk(rd, mine[static_cast<std::size_t>(c)]);
+  // Chunked evaluation of this rank's share of E(k); every chunk is a
+  // whole-block range of the batched plan.
+  auto& my_cursor = rd.chunk_cursor[L];
+  my_cursor.store(0, std::memory_order_relaxed);
+  auto& mine = rd.chunks[L];
+  for (index_t c;
+       (c = my_cursor.fetch_add(1, std::memory_order_relaxed)) < static_cast<index_t>(mine.size());)
+    run_chunk(rd, mine[static_cast<std::size_t>(c)]);
 
-    const auto& grp = group_[L];
-    if (grp.size() > 1) {
-      const auto pos = static_cast<std::size_t>(
-          std::lower_bound(grp.begin(), grp.end(), r) - grp.begin());
-      for (std::size_t off = 1; off < grp.size(); ++off) {
-        auto& vd = ranks_[static_cast<std::size_t>(grp[(pos + off) % grp.size()])];
-        auto& theirs = vd.chunks[L];
-        for (index_t c; (c = vd.chunk_cursor[L].fetch_add(1, std::memory_order_relaxed)) <
-                        static_cast<index_t>(theirs.size());) {
-          run_chunk(rd, theirs[static_cast<std::size_t>(c)]);
-          steals_[static_cast<std::size_t>(r)].fetch_add(1, std::memory_order_relaxed);
-        }
+  // Work stealing among the level's participants.
+  const auto& grp = group_[L];
+  if (mode_ == SchedulerMode::LevelAwareSteal && grp.size() > 1) {
+    const auto pos =
+        static_cast<std::size_t>(std::lower_bound(grp.begin(), grp.end(), r) - grp.begin());
+    for (std::size_t off = 1; off < grp.size(); ++off) {
+      auto& vd = ranks_[static_cast<std::size_t>(grp[(pos + off) % grp.size()])];
+      auto& theirs = vd.chunks[L];
+      for (index_t c; (c = vd.chunk_cursor[L].fetch_add(1, std::memory_order_relaxed)) <
+                      static_cast<index_t>(theirs.size());) {
+        run_chunk(rd, theirs[static_cast<std::size_t>(c)]);
+        steals_[static_cast<std::size_t>(r)].fetch_add(1, std::memory_order_relaxed);
       }
     }
-  } else {
-    // Private batched accumulation of this rank's share of E(k).
-    for (gindex_t g : rd.private_rows[L])
-      for (int c = 0; c < ncomp_; ++c)
-        rd.private_buf[static_cast<std::size_t>(g) * static_cast<std::size_t>(ncomp_) + static_cast<std::size_t>(c)] = 0.0;
-    const auto range = plan_->group_blocks(group_index(r, k));
-    op_->apply_add_blocks(*plan_, range.first, range.last, u_.get(), rd.private_buf.data(),
-                          *rd.workspace);
   }
   {
     const double s = timer.seconds();
@@ -622,55 +582,29 @@ void ThreadedLtsSolver::eval_phase(rank_t r, level_t k) {
     tally(rd, slot_eval(k), s);
   }
 
-  sync(r, k); // all private contributions complete
+  sync(r, k); // all chunk contributions complete
 
-  // Reduction (the "MPI exchange"): owners combine contributions, scale by
-  // Minv, and refresh the frozen-force accumulators.
+  // Reduction (the "MPI exchange"): owners walk the static chunk-contribution
+  // lists — each owned row sums its touching chunks' acc entries in the fixed
+  // (rank, chunk) order, independent of which thread ran each chunk — scale
+  // by Minv, and refresh the frozen-force accumulators.
   const WallTimer timer2;
   const bool track_force = k < levels_->num_levels;
-  auto fold = [&](gindex_t g, real_t contrib, int c) {
-    const std::size_t i = static_cast<std::size_t>(g) * static_cast<std::size_t>(ncomp_) + static_cast<std::size_t>(c);
-    const real_t fresh = inv_mass_[static_cast<std::size_t>(g)] * contrib;
-    scratch_[i] = fresh;
-    if (track_force) {
-      auto& fk = forces_[L];
-      cumulative_[i] += fresh - fk[i];
-      fk[i] = fresh;
-    }
-  };
-  if (steal) {
-    // Owners walk the static chunk-contribution lists built alongside the
-    // chunks: each owned row sums its touching chunks' acc entries in the
-    // fixed (rank, chunk) order, independent of which thread ran each chunk.
-    const auto& owned = rd.owned_rows[L];
-    const auto& offs = rd.red_offsets[L];
-    const auto& srcs = rd.red_sources[L];
-    for (std::size_t j = 0; j < owned.size(); ++j) {
-      const gindex_t g = owned[j];
-      for (int c = 0; c < ncomp_; ++c) {
-        real_t sum = 0;
-        for (index_t s = offs[j]; s < offs[j + 1]; ++s)
-          sum += srcs[static_cast<std::size_t>(s)][c];
-        fold(g, sum, c);
-      }
-    }
-  } else {
-    for (const auto& [g, toucher] : rd.solo_rows[L]) {
-      const auto& pb = ranks_[static_cast<std::size_t>(toucher)].private_buf;
-      for (int c = 0; c < ncomp_; ++c)
-        fold(g, pb[static_cast<std::size_t>(g) * static_cast<std::size_t>(ncomp_) + static_cast<std::size_t>(c)], c);
-    }
-    const auto& srows = rd.shared_rows[L];
-    const auto& soffs = rd.shared_offsets[L];
-    const auto& stch = rd.shared_touchers[L];
-    for (std::size_t s = 0; s < srows.size(); ++s) {
-      const gindex_t g = srows[s];
-      for (int c = 0; c < ncomp_; ++c) {
-        real_t sum = 0;
-        for (index_t t = soffs[s]; t < soffs[s + 1]; ++t)
-          sum += ranks_[static_cast<std::size_t>(stch[static_cast<std::size_t>(t)])]
-                     .private_buf[static_cast<std::size_t>(g) * static_cast<std::size_t>(ncomp_) + static_cast<std::size_t>(c)];
-        fold(g, sum, c);
+  const auto& owned = rd.owned_rows[L];
+  const auto& offs = rd.red_offsets[L];
+  const auto& srcs = rd.red_sources[L];
+  for (std::size_t j = 0; j < owned.size(); ++j) {
+    const auto g = static_cast<std::size_t>(owned[j]);
+    for (int c = 0; c < ncomp_; ++c) {
+      real_t sum = 0;
+      for (index_t s = offs[j]; s < offs[j + 1]; ++s) sum += srcs[static_cast<std::size_t>(s)][c];
+      const std::size_t i = g * static_cast<std::size_t>(ncomp_) + static_cast<std::size_t>(c);
+      const real_t fresh = inv_mass_[g] * sum;
+      scratch_[i] = fresh;
+      if (track_force) {
+        auto& fk = forces_[L];
+        cumulative_[i] += fresh - fk[i];
+        fk[i] = fresh;
       }
     }
   }

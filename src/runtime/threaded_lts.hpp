@@ -5,10 +5,12 @@
 /// worker per partition, mirroring the paper's MPI structure (SPECFEM-style
 /// partial assembly + interface exchange).
 ///
-/// Each rank owns the elements its partition assigns; stiffness applications
-/// accumulate into rank-private buffers, and a reduction phase (the stand-in
-/// for MPI point-to-point exchange) combines interface contributions. Every
-/// global row is updated by exactly one owner rank.
+/// Each rank owns the elements its partition assigns. Its share of each
+/// level is split into chunks of whole plan blocks; every chunk accumulates
+/// into its own buffer, and a reduction phase (the stand-in for MPI
+/// point-to-point exchange) has each row's owner sum the chunk contributions
+/// in a fixed (rank, chunk) order. Every global row is updated by exactly one
+/// owner rank.
 ///
 /// Stiffness evaluation runs on the element-block batched path: the solver
 /// builds one sem::BatchPlan whose groups are ordered (rank, level) — rank
@@ -23,19 +25,19 @@
 /// the shared state is resident on the memory node of the rank that updates
 /// — and most often reads — it.
 ///
-/// Synchronization is governed by a SchedulerMode (see runtime/scheduler.hpp):
-/// the legacy barrier-all mode makes every rank arrive at every substep
-/// barrier, reproducing the load-imbalance behaviour of Fig. 1 with *real*
-/// wall-clock; the level-aware modes synchronize each level-k substep only
-/// over the ranks participating at level k or finer (the monotone closure —
-/// fine substeps nest inside coarse phases, so finer ranks must join coarser
-/// barriers but never vice versa). Level-aware+steal additionally splits each
-/// rank's per-level block list into chunks — always whole blocks, so stealing
-/// moves block-aligned work — that idle participants steal, absorbing
-/// residual intra-level imbalance the partitioner leaves behind. Stolen
-/// chunks accumulate into per-chunk buffers that the owner reduces in a
-/// fixed (rank, chunk) order, so every mode — stealing included — is bitwise
-/// reproducible run to run.
+/// Synchronization is governed by a SchedulerMode (see runtime/scheduler.hpp),
+/// which changes exactly two things. Participation: barrier-all makes every
+/// rank arrive at every substep barrier, reproducing the load-imbalance
+/// behaviour of Fig. 1 with *real* wall-clock; the level-aware modes
+/// synchronize each level-k substep only over the ranks participating at
+/// level k or finer (the monotone closure — fine substeps nest inside coarse
+/// phases, so finer ranks must join coarser barriers but never vice versa).
+/// Stealing: under level-aware+steal a rank that has drained its own chunk
+/// queue goes on to its peers' queues, absorbing residual intra-level
+/// imbalance the partitioner leaves behind. Chunks and the reduction order
+/// are the same in every mode and fixed at build time, so the three modes
+/// give bitwise-identical results, and each is bitwise reproducible run to
+/// run however the chunks were shared out.
 ///
 /// Scenario support mirrors the serial solvers: point sources are injected by
 /// the rank owning the source node's row, sampled frozen at the cycle start
@@ -53,7 +55,7 @@
 /// relaxed is sufficient and reset_counters()/snapshot reads are data-race
 /// free even while a run is in flight. A mid-run reset can swallow an
 /// in-flight increment — the counters are monitoring data, not physics; the
-/// field state and the deterministic (rank, chunk)-ordered steal reduction
+/// field state and the deterministic (rank, chunk)-ordered reduction
 /// are untouched by any of this, so bitwise reproducibility is unaffected.
 
 #include <atomic>
@@ -83,11 +85,13 @@ public:
     std::vector<real_t> values;
   };
 
+  /// `mode` picks barrier participation and stealing (see the file comment);
   /// `integ` selects the deepest-level substep rule (core/integrator.hpp);
   /// the default reproduces the historical Newmark scheme bit-for-bit.
   ThreadedLtsSolver(const sem::WaveOperator& op, const core::LevelAssignment& levels,
                     const core::LtsStructure& structure, const partition::Partition& part,
-                    SchedulerConfig cfg = {}, core::Integrator integ = core::Integrator::newmark());
+                    SchedulerMode mode, SchedulerConfig cfg = {},
+                    core::Integrator integ = core::Integrator::newmark());
 
   [[nodiscard]] const core::Integrator& integrator() const noexcept { return integ_; }
 
@@ -180,7 +184,7 @@ public:
     return cycles_done_ * blocks_per_cycle_;
   }
   [[nodiscard]] rank_t num_ranks() const noexcept { return nranks_; }
-  [[nodiscard]] SchedulerMode mode() const noexcept { return cfg_.mode; }
+  [[nodiscard]] SchedulerMode mode() const noexcept { return mode_; }
   /// The (rank, level)-ordered batched execution plan driving the eval phases.
   [[nodiscard]] const sem::BatchPlan& plan() const noexcept { return *plan_; }
   /// Plan block range of rank r's share of E(k).
@@ -223,11 +227,11 @@ public:
 
 private:
   /// A contiguous plan-block range [first_block, last_block) of a rank's
-  /// level group — steal chunks always move whole blocks — with the global
-  /// rows it touches and a per-chunk accumulation buffer (rows.size() *
-  /// ncomp). Whichever thread executes the chunk writes `acc`; the row owners
-  /// reduce the chunks in a fixed order, which makes the stealing mode's
-  /// floating-point association independent of who stole what.
+  /// level group — chunks always move whole blocks — with the global rows it
+  /// touches and a per-chunk accumulation buffer (rows.size() * ncomp).
+  /// Whichever thread executes the chunk writes `acc`; the row owners reduce
+  /// the chunks in a fixed order, which makes the floating-point association
+  /// independent of who ran what.
   struct Chunk {
     index_t first_block = 0;
     index_t last_block = 0;
@@ -238,28 +242,21 @@ private:
   struct RankData {
     // Elements this rank evaluates per level (its share of E(k)).
     std::vector<std::vector<index_t>> eval_elems; // [level]
-    // Rows this rank's private buffer touches per level (zeroed before apply).
-    std::vector<std::vector<gindex_t>> private_rows; // [level]
-    // Reduction work per level: rows this rank owns within rows(E(k)).
-    // solo rows have exactly one touching rank; shared rows carry a CSR list.
-    std::vector<std::vector<std::pair<gindex_t, rank_t>>> solo_rows; // [level] (row, toucher)
-    std::vector<std::vector<gindex_t>> shared_rows;                  // [level]
-    std::vector<std::vector<index_t>> shared_offsets;                // [level] CSR into touchers
-    std::vector<std::vector<rank_t>> shared_touchers;                // [level]
-    // All owned rows per level (solo ∪ shared), ascending — the steal-mode
-    // reduction walks these against the static chunk-contribution lists.
+    // Reduction work per level: rows this rank owns within rows(E(k)) (the
+    // minimum touching rank owns a row), ascending — the reduction walks
+    // these against the static chunk-contribution lists.
     std::vector<std::vector<gindex_t>> owned_rows; // [level]
     // Row-update sets owned by this rank.
     std::vector<std::vector<gindex_t>> update_rows; // S(k) ∩ mine
     std::vector<std::vector<gindex_t>> recon_rows;  // R(k+1) ∩ mine
-    std::vector<real_t> private_buf;                // ndof accumulation buffer
+    std::vector<real_t> private_buf;                // ndof scratch for run_chunk
     std::unique_ptr<sem::KernelWorkspace> workspace;
     // Point sources injected by this rank, bucketed by the source node's
     // updater level rho (mirrors LtsNewmarkSolver::sources_by_level_).
     std::vector<std::vector<sem::PointSource>> sources; // [level]
     // Indices into traces_ of the receivers this rank samples.
     std::vector<std::size_t> receivers;
-    // Work-stealing state (LevelAwareSteal only).
+    // Chunk queues; under LevelAwareSteal, peers drain them too.
     std::vector<std::vector<Chunk>> chunks;               // [level]
     std::unique_ptr<std::atomic<index_t>[]> chunk_cursor; // [level]
     // Static reduction map: for owned_rows[L][j], the chunk-contribution
@@ -281,7 +278,7 @@ private:
   void build_rank_data();
   void build_participation();
   void build_chunks();
-  void build_steal_reduction();
+  void build_reduction();
   void first_touch_rank_buffers();
   [[nodiscard]] std::size_t group_index(rank_t r, level_t k) const noexcept {
     return static_cast<std::size_t>(r) * static_cast<std::size_t>(levels_->num_levels) +
@@ -329,6 +326,7 @@ private:
   const core::LevelAssignment* levels_;
   const core::LtsStructure* structure_;
   const partition::Partition* part_;
+  SchedulerMode mode_;
   SchedulerConfig cfg_;
   core::Integrator integ_;
   rank_t nranks_;

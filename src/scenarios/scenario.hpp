@@ -127,17 +127,13 @@ struct ScenarioSpec {
   int order = 2;
   real_t courant = 0.10;
   level_t max_levels = 12;
-  /// Executor registry name; empty resolves through the legacy shim
-  /// (ranks > 1 -> threaded/<scheduler.mode>, else use_lts ? serial-lts
-  /// : newmark).
-  std::string executor;
+  /// Executor registry name — the one selector of backend and scheduler
+  /// mode ("threaded/<mode>" executors also need num_ranks > 1).
+  std::string executor = "serial-lts";
   /// Time-integrator name passthrough (`integrator=` key; see
-  /// core/integrator.hpp). Empty = newmark; "leapfrog-stab" runs the
+  /// core/integrator.hpp): "newmark", or "leapfrog-stab" for the
   /// stabilized-leapfrog substep rule on the deepest LTS level.
-  std::string integrator;
-  /// Legacy shim passthrough (lts=off CLI key): with no explicit executor,
-  /// false resolves single-rate reference backends.
-  bool use_lts = true;
+  std::string integrator = "newmark";
   rank_t num_ranks = 0;
   runtime::SchedulerConfig scheduler{};
   partition::Strategy partitioner = partition::Strategy::ScotchP;
@@ -165,7 +161,6 @@ struct ScenarioSpec {
   ScenarioSpec& with_executor(std::string name_) { executor = std::move(name_); return *this; }
   ScenarioSpec& with_integrator(std::string name_) { integrator = std::move(name_); return *this; }
   ScenarioSpec& with_ranks(rank_t ranks) { num_ranks = ranks; return *this; }
-  ScenarioSpec& with_scheduler(runtime::SchedulerMode m) { scheduler.mode = m; return *this; }
   ScenarioSpec& with_cycles(real_t cycles) { duration_cycles = cycles; return *this; }
   /// Omitting nz keeps the scenario's registered vertical layer count
   /// (pass 0 explicitly to restore the generator's own default).
@@ -187,8 +182,7 @@ struct ScenarioSpec {
   /// Generator mesh with the material regions painted on.
   [[nodiscard]] mesh::HexMesh build_mesh() const;
 
-  /// The SimulationConfig this scenario describes, as it runs
-  /// (core::effective_config: a threaded executor name sets scheduler.mode).
+  /// The SimulationConfig this scenario describes.
   [[nodiscard]] core::SimulationConfig config() const;
 
   /// Coarse LTS step of this scenario on `m` (independent of the executor).

@@ -56,15 +56,16 @@ struct Variant {
 };
 
 /// The grid point as a ScenarioSpec: the registered conformance strip with
-/// the variant's axes applied. Threaded backends read num_ranks = 4;
-/// oversubscription only warns so the grid runs on small CI machines.
+/// the variant's axes applied. Threaded backends run on num_ranks = 4 (the
+/// serial ones reject a rank count); oversubscription only warns so the grid
+/// runs on small CI machines.
 inline scenarios::ScenarioSpec make_spec(const Variant& v) {
   auto spec = scenarios::get("strip");
   spec.physics = v.physics;
   spec.order = v.order;
   spec.executor = v.executor;
   spec.integrator = v.integrator;
-  spec.num_ranks = 4;
+  if (v.executor.starts_with("threaded/")) spec.num_ranks = 4;
   spec.scheduler.oversubscribe = runtime::Oversubscribe::Warn;
   if (v.with_source) {
     // Peak frequency ~one cycle per run keeps the cycle-frozen source of the

@@ -2,9 +2,9 @@
 // backend must honor the full contract — set_state -> advance -> state parity
 // with the serial-LTS baseline, exact adopt_state_from hand-off (state,
 // clock, work counters, sources, receiver traces), source/receiver behavior,
-// counters shape — plus the facade-level guarantees: name resolution through
-// the deprecation shim, the per-cycle state-gather cache, and clear errors
-// for unknown backends. A new backend registered with ExecutorFactory is
+// counters shape — plus the facade-level guarantees: the executor name as
+// the one backend selector, the per-cycle state-gather cache, and clear
+// errors for unknown backends or a rank count on a serial backend. A new backend registered with ExecutorFactory is
 // covered by this file with zero edits.
 
 #include <gtest/gtest.h>
@@ -36,7 +36,7 @@ struct Rig {
   explicit Rig(const std::string& executor_name) : mesh(mesh::make_strip_mesh(12, 0.4, 4.0)) {
     cfg.order = 2;
     cfg.courant = 0.10;
-    cfg.num_ranks = 4;
+    if (executor_name.starts_with("threaded/")) cfg.num_ranks = 4;
     cfg.scheduler.oversubscribe = runtime::Oversubscribe::Warn;
     cfg.executor = executor_name;
     space = std::make_unique<sem::SemSpace>(mesh, cfg.order);
@@ -226,6 +226,7 @@ TEST(ExecutorContract, StateGatherIsCachedPerCycleAndInvalidated) {
   // per call — repeated polling between cycles returns the same buffer.
   SimulationConfig cfg;
   cfg.order = 2;
+  cfg.executor = "threaded/level-aware";
   cfg.num_ranks = 4;
   cfg.scheduler.oversubscribe = runtime::Oversubscribe::Warn;
   WaveSimulation sim(mesh::make_strip_mesh(12, 0.4, 4.0), cfg);
@@ -251,7 +252,7 @@ TEST(ExecutorContract, StateGatherIsCachedPerCycleAndInvalidated) {
   EXPECT_EQ(&sim.u(), &s2);
 }
 
-TEST(Facade, ResolvesExecutorNameThroughShimAndExplicitSelection) {
+TEST(Facade, ExecutorNameIsTheOneBackendSelector) {
   const auto m = mesh::make_strip_mesh(12, 0.4, 4.0);
   {
     SimulationConfig cfg;
@@ -259,50 +260,65 @@ TEST(Facade, ResolvesExecutorNameThroughShimAndExplicitSelection) {
     WaveSimulation sim(m, cfg);
     EXPECT_EQ(sim.executor_name(), "serial-lts");
     EXPECT_EQ(sim.threaded(), nullptr);
+    EXPECT_EQ(sim.part().num_parts, 0); // serial backends carry no partition
   }
   {
     SimulationConfig cfg;
     cfg.order = 2;
-    cfg.use_lts = false;
+    cfg.executor = "newmark";
     WaveSimulation sim(m, cfg);
     EXPECT_EQ(sim.executor_name(), "newmark");
     EXPECT_EQ(sim.levels().num_levels, 1);
   }
-  {
+  for (const runtime::SchedulerMode mode : runtime::kAllSchedulerModes) {
     SimulationConfig cfg;
     cfg.order = 2;
+    cfg.executor = "threaded/" + runtime::to_string(mode);
     cfg.num_ranks = 4;
-    cfg.scheduler.mode = runtime::SchedulerMode::LevelAwareSteal;
     cfg.scheduler.oversubscribe = runtime::Oversubscribe::Warn;
     WaveSimulation sim(m, cfg);
-    EXPECT_EQ(sim.executor_name(), "threaded/level-aware+steal");
-    ASSERT_NE(sim.threaded(), nullptr);
-    EXPECT_EQ(sim.threaded()->mode(), runtime::SchedulerMode::LevelAwareSteal);
+    EXPECT_EQ(sim.executor_name(), cfg.executor);
+    ASSERT_NE(sim.threaded(), nullptr) << cfg.executor;
+    EXPECT_EQ(sim.threaded()->mode(), mode);
+    EXPECT_GT(sim.levels().num_levels, 1) << cfg.executor;
   }
-  {
-    // Legacy threaded-but-not-LTS combo: the shim must keep the old
-    // constructor's single-level (global dt_min) layout, not let the
-    // threaded backend's uses_lts_levels bit force a multi-level census.
+}
+
+TEST(Facade, SerialBackendsRejectARankCount) {
+  // A stale `ranks=4` without a threaded executor must fail loudly, naming
+  // the fix, instead of silently running on one rank.
+  const auto m = mesh::make_strip_mesh(12, 0.4, 4.0);
+  for (const char* name : {"serial-lts", "newmark"}) {
     SimulationConfig cfg;
     cfg.order = 2;
-    cfg.use_lts = false;
-    cfg.num_ranks = 2;
-    cfg.scheduler.oversubscribe = runtime::Oversubscribe::Warn;
-    WaveSimulation sim(m, cfg);
-    EXPECT_EQ(sim.executor_name(), "threaded/level-aware");
-    ASSERT_NE(sim.threaded(), nullptr);
-    EXPECT_EQ(sim.levels().num_levels, 1);
-  }
-  {
-    // Explicit name wins over the legacy fields.
-    SimulationConfig cfg;
-    cfg.order = 2;
+    cfg.executor = name;
     cfg.num_ranks = 4;
-    cfg.executor = "serial-lts";
-    WaveSimulation sim(m, cfg);
-    EXPECT_EQ(sim.executor_name(), "serial-lts");
-    EXPECT_EQ(sim.threaded(), nullptr);
-    EXPECT_EQ(sim.part().num_parts, 0); // serial backends carry no partition
+    try {
+      WaveSimulation sim(m, cfg);
+      FAIL() << name << " accepted num_ranks = 4";
+    } catch (const CheckFailure& e) {
+      EXPECT_NE(std::string(e.what()).find("executor=threaded/<mode>"), std::string::npos)
+          << e.what();
+    }
+    cfg.num_ranks = 1; // one rank is what a serial backend runs anyway
+    EXPECT_NO_THROW(WaveSimulation(m, cfg)) << name;
+  }
+}
+
+TEST(Facade, RemovedSelectorKeysAreUnknown) {
+  // The scheduler mode and the LTS on/off switch live in the executor name
+  // only; the old keys, and the dropped chunk-size knob, must not parse.
+  const std::pair<const char*, const char*> removed[] = {
+      {"lts", "off"}, {"scheduler", "level-aware"}, {"chunk", "8"}, {"scheduler.chunk", "8"}};
+  for (const auto& [key, value] : removed) {
+    const std::string text = std::string(key) + "=" + value;
+    try {
+      (void)parse_simulation_config(text);
+      FAIL() << text << " parsed";
+    } catch (const CheckFailure& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown simulation config key"), std::string::npos)
+          << e.what();
+    }
   }
 }
 

@@ -480,9 +480,8 @@ TEST(Kernels, SetStateAppliesEveryLevelPlanBlock) {
     for (const auto mode : {runtime::SchedulerMode::BarrierAll, runtime::SchedulerMode::LevelAware,
                             runtime::SchedulerMode::LevelAwareSteal}) {
       runtime::SchedulerConfig cfg;
-      cfg.mode = mode;
       cfg.oversubscribe = runtime::Oversubscribe::Warn;
-      runtime::ThreadedLtsSolver threaded(*op, levels, st, part, cfg);
+      runtime::ThreadedLtsSolver threaded(*op, levels, st, part, mode, cfg);
       threaded.add_source(src);
       threaded.set_state(u0, v0);
       const std::vector<real_t> v(threaded.v_half().begin(), threaded.v_half().end());

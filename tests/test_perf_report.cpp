@@ -2,16 +2,21 @@
 // of perf::RunReport, phase-time monotonicity over successive advances,
 // counter agreement between Executor::run_report() and Executor::counters()
 // across every registered backend, the static roofline model against
-// hand-computed numbers, and a doc-sync check pinning docs/ to the live CLI
-// key help strings and registries.
+// hand-computed numbers, and doc-sync checks pinning docs/ to the live CLI
+// key help strings and registries and parsing every documented example
+// command.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/check.hpp"
 #include "core/executor.hpp"
@@ -193,33 +198,29 @@ TEST(RunReportLive, CountersMatchAcrossAllBackends) {
 }
 
 TEST(RunReportLive, ConfigEchoNamesTheSchedulerModeThatRan) {
-  // A "threaded/<mode>" executor name picks the scheduler mode; the legacy
-  // scheduler.mode field (left at its default here) does not. The report's
-  // config echo must name the mode that ran and parse back to the same run.
+  // The "threaded/<mode>" executor name is the one place the scheduler mode
+  // is chosen; the report's config echo must name it and parse back to the
+  // same run.
   for (const runtime::SchedulerMode mode : runtime::kAllSchedulerModes) {
     const std::string name = "threaded/" + runtime::to_string(mode);
-    auto spec = spec_for(name);
-    spec.scheduler.mode = runtime::SchedulerConfig{}.mode;
+    const auto spec = spec_for(name);
     auto sim = spec.make_simulation();
     sim->run(scenarios::run_duration(spec, *sim));
     ASSERT_NE(sim->threaded(), nullptr) << name;
     ASSERT_EQ(sim->threaded()->mode(), mode) << name;
 
     const perf::RunReport r = sim->run_report();
-    EXPECT_NE(r.config.find("executor=" + name + " scheduler.mode=" + runtime::to_string(mode) +
-                            " "),
-              std::string::npos)
+    EXPECT_NE(r.config.find(" executor=" + name + " integrator=newmark "), std::string::npos)
         << r.config;
     const core::SimulationConfig echoed = core::parse_simulation_config(r.config);
-    EXPECT_EQ(echoed.scheduler.mode, mode) << r.config;
     EXPECT_EQ(core::resolve_executor_name(echoed), name) << r.config;
     EXPECT_EQ(core::to_string(echoed), r.config);
   }
-  // Configs that name no executor keep the legacy field and the pinned echo.
-  EXPECT_EQ(core::to_string(core::effective_config(core::SimulationConfig{})),
-            "order=4 physics=acoustic courant=0.12 lts=on max-levels=12 ranks=0 "
-            "partitioner=scotch-p feedback=0 executor=auto scheduler.mode=level-aware "
-            "scheduler.oversubscribe=forbid scheduler.chunk=0");
+  // The default config names the backend and integrator that run by default.
+  EXPECT_EQ(core::to_string(core::SimulationConfig{}),
+            "order=4 physics=acoustic courant=0.12 max-levels=12 ranks=0 "
+            "partitioner=scotch-p feedback=0 executor=serial-lts integrator=newmark "
+            "scheduler.oversubscribe=forbid");
 }
 
 TEST(RunReportLive, ScenarioRunFillsReport) {
@@ -347,6 +348,92 @@ TEST(DocSync, StaticAnalysisDocPinsTheToolchain) {
         "LTS_GUARDED_BY", "src/common/annotations.hpp"})
     EXPECT_NE(doc.find(needle), std::string::npos)
         << "docs/static-analysis.md must mention " << needle;
+}
+
+/// One documented example invocation: the binary's default scenario and its
+/// key=value tokens (runner-only keys already dropped).
+struct DocCommand {
+  std::string where;
+  std::string default_scenario;
+  std::vector<std::string> args;
+};
+
+/// Every `example_scenario_runner` / `example_seismic_point_source` command in
+/// `text`. A command's arguments are the key=value tokens after the binary,
+/// up to the first other token, a `#` comment or a closing backtick; a
+/// trailing backslash continues the command on the next line.
+std::vector<DocCommand> documented_commands(const std::string& file, const std::string& text) {
+  const std::vector<std::pair<std::string, std::string>> binaries = {
+      {"example_scenario_runner", "strip"}, {"example_seismic_point_source", "trench"}};
+  const std::vector<std::string> runner_only = {"report",  "output-dir", "checkpoint",
+                                                "restore", "kill-at-cycle", "checkpoint-every"};
+  std::vector<std::vector<std::string>> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) {
+    std::istringstream ls(line);
+    lines.emplace_back(std::istream_iterator<std::string>(ls), std::istream_iterator<std::string>());
+  }
+  std::vector<DocCommand> out;
+  for (std::size_t l = 0; l < lines.size(); ++l)
+    for (std::size_t t = 0; t < lines[l].size(); ++t)
+      for (const auto& [binary, scenario] : binaries) {
+        const std::size_t at = lines[l][t].find(binary);
+        if (at == std::string::npos) continue;
+        DocCommand cmd{file + ":" + std::to_string(l + 1), scenario, {}};
+        bool open = lines[l][t].find('`', at) == std::string::npos;
+        for (std::size_t ll = l, tt = t + 1; open && ll < lines.size();) {
+          if (tt == lines[ll].size()) break;
+          std::string tok = lines[ll][tt++];
+          if (tok == "\\") {
+            ++ll;
+            tt = 0;
+            continue;
+          }
+          open = tok.find('`') == std::string::npos;
+          std::erase(tok, '`');
+          while (!tok.empty() && std::string_view(".,;)").find(tok.back()) != std::string::npos)
+            tok.pop_back();
+          const std::size_t eq = tok.find('=');
+          if (tok.starts_with("#") || eq == std::string::npos) break;
+          if (std::find(runner_only.begin(), runner_only.end(), tok.substr(0, eq)) ==
+              runner_only.end())
+            cmd.args.push_back(tok);
+        }
+        out.push_back(std::move(cmd));
+      }
+  return out;
+}
+
+TEST(DocSync, DocumentedCommandsParse) {
+  std::vector<std::string> files = {"README.md", ".claude/skills/verify/SKILL.md"};
+  for (const auto& entry :
+       std::filesystem::directory_iterator(std::string(LTSWAVE_SOURCE_DIR) + "/docs"))
+    if (entry.path().extension() == ".md") files.push_back("docs/" + entry.path().filename().string());
+
+  std::size_t commands = 0, threaded = 0;
+  for (const auto& file : files)
+    for (const auto& cmd : documented_commands(file, read_doc(file))) {
+      ++commands;
+      std::vector<const char*> argv;
+      for (const auto& a : cmd.args) argv.push_back(a.c_str());
+      scenarios::ScenarioSpec spec;
+      try {
+        spec = scenarios::from_args(argv, cmd.default_scenario);
+      } catch (const CheckFailure& e) {
+        ADD_FAILURE() << cmd.where << ": documented command does not parse: " << e.what();
+        continue;
+      }
+      // A rank count only means something to a threaded executor; the serial
+      // backends reject it at construction.
+      if (spec.num_ranks > 1) {
+        ++threaded;
+        EXPECT_TRUE(spec.executor.starts_with("threaded/"))
+            << cmd.where << ": ranks=" << spec.num_ranks << " with executor=" << spec.executor;
+      }
+    }
+  // Not vacuous: the README and docs carry serial and threaded examples.
+  EXPECT_GE(commands, 10u);
+  EXPECT_GE(threaded, 4u);
 }
 
 } // namespace

@@ -39,7 +39,7 @@ TEST(Simulation, LtsAssignsMultipleLevelsOnRefinedMesh) {
 TEST(Simulation, NonLtsIsSingleLevelAtGlobalMinimum) {
   SimulationConfig cfg;
   cfg.order = 2;
-  cfg.use_lts = false;
+  cfg.executor = "newmark";
   WaveSimulation sim(refined_mesh(), cfg);
   EXPECT_EQ(sim.levels().num_levels, 1);
 }
@@ -79,7 +79,7 @@ TEST(Simulation, LtsAgreesWithNonLtsThroughFacade) {
   cfg.order = 2;
   cfg.courant = 0.06;
   WaveSimulation lts(m, cfg);
-  cfg.use_lts = false;
+  cfg.executor = "newmark";
   WaveSimulation ref(m, cfg);
 
   const auto u0 = gaussian_state(lts);
@@ -133,8 +133,8 @@ TEST(Simulation, ThreadedFacadeMatchesSerialForEveryScheduler) {
   for (const runtime::SchedulerMode mode : runtime::kAllSchedulerModes) {
     SimulationConfig cfg;
     cfg.order = 2;
+    cfg.executor = "threaded/" + runtime::to_string(mode);
     cfg.num_ranks = 4;
-    cfg.scheduler.mode = mode;
     cfg.scheduler.oversubscribe = runtime::Oversubscribe::Warn;
     WaveSimulation sim(m, cfg);
     ASSERT_NE(sim.threaded(), nullptr);
@@ -173,8 +173,8 @@ TEST(Simulation, ThreadedFacadeRunsPointSourcesAndReceivers) {
   for (const runtime::SchedulerMode mode : runtime::kAllSchedulerModes) {
     SimulationConfig cfg;
     cfg.order = 2;
+    cfg.executor = "threaded/" + runtime::to_string(mode);
     cfg.num_ranks = 4;
-    cfg.scheduler.mode = mode;
     cfg.scheduler.oversubscribe = runtime::Oversubscribe::Warn;
     WaveSimulation sim(m, cfg);
     sim.add_source({0.1, 0.0, 0.0}, 2.0, {1, 0, 0});
@@ -203,6 +203,7 @@ TEST(Simulation, ThreadedElementAppliesExactAcrossSplitRuns) {
   const auto m = refined_mesh();
   SimulationConfig cfg;
   cfg.order = 2;
+  cfg.executor = "threaded/level-aware";
   cfg.num_ranks = 2;
   cfg.scheduler.oversubscribe = runtime::Oversubscribe::Warn;
   WaveSimulation sim(m, cfg);

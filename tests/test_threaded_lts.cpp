@@ -19,13 +19,8 @@
 namespace ltswave::runtime {
 namespace {
 
-SchedulerConfig cfg_for(SchedulerMode mode) {
-  SchedulerConfig cfg;
-  cfg.mode = mode;
-  // Correctness tests model more ranks than small CI machines have cores.
-  cfg.oversubscribe = Oversubscribe::Warn;
-  return cfg;
-}
+// Correctness tests model more ranks than small CI machines have cores.
+const SchedulerConfig kWarn{.oversubscribe = Oversubscribe::Warn};
 
 struct Rig {
   mesh::HexMesh mesh;
@@ -78,7 +73,7 @@ real_t max_abs_diff(std::span<const real_t> a, std::span<const real_t> b) {
 
 void expect_matches_serial(Rig& s, const partition::Partition& part, SchedulerMode mode,
                            int cycles) {
-  ThreadedLtsSolver threaded(*s.op, s.levels, s.structure, part, cfg_for(mode));
+  ThreadedLtsSolver threaded(*s.op, s.levels, s.structure, part, mode, kWarn);
   core::LtsNewmarkSolver serial(*s.op, s.levels, s.structure);
 
   const auto u0 = s.initial();
@@ -143,7 +138,7 @@ TEST(Threaded, DeterministicAcrossRuns) {
   for (const SchedulerMode mode : {SchedulerMode::BarrierAll, SchedulerMode::LevelAware}) {
     std::vector<real_t> first;
     for (int run = 0; run < 2; ++run) {
-      ThreadedLtsSolver solver(*s.op, s.levels, s.structure, part, cfg_for(mode));
+      ThreadedLtsSolver solver(*s.op, s.levels, s.structure, part, mode, kWarn);
       solver.set_state(u0, v0);
       solver.run_cycles(4);
       if (run == 0)
@@ -162,11 +157,11 @@ TEST(Threaded, StateAndTeamReusedAcrossCalls) {
   const auto u0 = s.initial();
   const std::vector<real_t> v0(s.ndof, 0.0);
 
-  ThreadedLtsSolver once(*s.op, s.levels, s.structure, part, cfg_for(SchedulerMode::LevelAware));
+  ThreadedLtsSolver once(*s.op, s.levels, s.structure, part, SchedulerMode::LevelAware, kWarn);
   once.set_state(u0, v0);
   once.run_cycles(5);
 
-  ThreadedLtsSolver split(*s.op, s.levels, s.structure, part, cfg_for(SchedulerMode::LevelAware));
+  ThreadedLtsSolver split(*s.op, s.levels, s.structure, part, SchedulerMode::LevelAware, kWarn);
   split.set_state(u0, v0);
   split.run_cycles(2);
   split.run_cycles(3);
@@ -181,7 +176,7 @@ TEST(Threaded, SingleLevelFallsBackToNewmark) {
   ASSERT_EQ(s.levels.num_levels, 1);
   const auto part = s.make_partition(4);
   for (const SchedulerMode mode : kAllSchedulerModes) {
-    ThreadedLtsSolver threaded(*s.op, s.levels, s.structure, part, cfg_for(mode));
+    ThreadedLtsSolver threaded(*s.op, s.levels, s.structure, part, mode, kWarn);
     core::NewmarkSolver serial(*s.op, s.levels.dt);
     const auto u0 = s.initial();
     const std::vector<real_t> v0(s.ndof, 0.0);
@@ -203,11 +198,11 @@ TEST(Threaded, LevelParticipationExcludesCoarseOnlyRanks) {
   part.num_parts = 3;
   part.part = {0, 0, 0, 0, 1, 1, 2, 2};
 
-  ThreadedLtsSolver aware(*s.op, s.levels, s.structure, part, cfg_for(SchedulerMode::LevelAware));
+  ThreadedLtsSolver aware(*s.op, s.levels, s.structure, part, SchedulerMode::LevelAware, kWarn);
   EXPECT_EQ(aware.level_participants(1), 3);
   EXPECT_EQ(aware.level_participants(2), 2);
 
-  ThreadedLtsSolver all(*s.op, s.levels, s.structure, part, cfg_for(SchedulerMode::BarrierAll));
+  ThreadedLtsSolver all(*s.op, s.levels, s.structure, part, SchedulerMode::BarrierAll, kWarn);
   EXPECT_EQ(all.level_participants(1), 3);
   EXPECT_EQ(all.level_participants(2), 3);
 
@@ -219,7 +214,7 @@ TEST(Threaded, CountersAccumulateUntilReset) {
   Rig s(mesh::make_strip_mesh(16, 0.3, 4.0));
   const auto part = s.make_partition(4);
   ThreadedLtsSolver solver(*s.op, s.levels, s.structure, part,
-                           cfg_for(SchedulerMode::LevelAwareSteal));
+                           SchedulerMode::LevelAwareSteal, kWarn);
   const auto u0 = s.initial();
   const std::vector<real_t> v0(s.ndof, 0.0);
   solver.set_state(u0, v0);
@@ -294,7 +289,7 @@ TEST(Threaded, SourcesMatchSerialEveryModeAtFractionalTimes) {
   ASSERT_GT(umax, 0);
 
   for (const SchedulerMode mode : kAllSchedulerModes) {
-    ThreadedLtsSolver threaded(*s.op, s.levels, s.structure, part, cfg_for(mode));
+    ThreadedLtsSolver threaded(*s.op, s.levels, s.structure, part, mode, kWarn);
     threaded.add_source(src); // before set_state: v^{-1/2} must see f(0)
     threaded.set_state(zero, zero);
     threaded.run_cycles(6);
@@ -309,7 +304,7 @@ TEST(Threaded, ReceiversSampleEveryCycleFromOwningRank) {
   Rig s(mesh::make_strip_mesh(16, 0.3, 4.0));
   const auto part = s.make_partition(4);
   ThreadedLtsSolver solver(*s.op, s.levels, s.structure, part,
-                           cfg_for(SchedulerMode::LevelAware));
+                           SchedulerMode::LevelAware, kWarn);
   const gindex_t probe = s.space->num_global_nodes() / 2;
   const auto idx = solver.add_receiver(probe, 0);
 
@@ -347,7 +342,7 @@ TEST(Threaded, StealSchedulerBitwiseDeterministicWithSources) {
   std::vector<real_t> first_u, first_trace;
   for (int run = 0; run < 2; ++run) {
     ThreadedLtsSolver solver(*s.op, s.levels, s.structure, part,
-                             cfg_for(SchedulerMode::LevelAwareSteal));
+                             SchedulerMode::LevelAwareSteal, kWarn);
     solver.add_source(src);
     const auto idx = solver.add_receiver(probe, 0);
     solver.set_state(zero, zero);
@@ -366,21 +361,18 @@ TEST(Threaded, StealSchedulerBitwiseDeterministicWithSources) {
 }
 
 TEST(Threaded, StealChunksAlignToBlocksAndStayBitwiseDeterministic) {
-  // Steal chunks are whole BatchPlan blocks; a chunk_elems request that is
-  // not a multiple of the block width is rounded up to whole blocks, and the
-  // chunk-indexed reduction keeps the mode bitwise reproducible run to run.
+  // Steal chunks are whole BatchPlan blocks, and the chunk-indexed reduction
+  // keeps the mode bitwise reproducible run to run.
   Rig s(mesh::make_strip_mesh(16, 0.3, 4.0));
   ASSERT_GE(s.levels.num_levels, 3);
   const auto part = s.make_partition(4);
   const auto src = fine_source(s);
   const std::vector<real_t> zero(s.ndof, 0.0);
 
-  auto cfg = cfg_for(SchedulerMode::LevelAwareSteal);
-  cfg.chunk_elems = 3; // deliberately misaligned; rounded up to whole blocks
-
   std::vector<real_t> first_u;
   for (int run = 0; run < 2; ++run) {
-    ThreadedLtsSolver solver(*s.op, s.levels, s.structure, part, cfg);
+    ThreadedLtsSolver solver(*s.op, s.levels, s.structure, part, SchedulerMode::LevelAwareSteal,
+                             kWarn);
     solver.add_source(src);
     solver.set_state(zero, zero);
     if (run == 0) {
@@ -416,6 +408,40 @@ TEST(Threaded, StealChunksAlignToBlocksAndStayBitwiseDeterministic) {
   }
 }
 
+TEST(Threaded, SchedulerModesAgreeBitwise) {
+  // The modes differ only in barrier participation and stealing: chunks and
+  // the (rank, chunk)-ordered reduction are the same in all three, so the
+  // final field and a fine-level receiver's trace must agree bit for bit.
+  // A 3D mesh, not a strip: a strip node touches at most two elements, so
+  // no two reduction orders could associate its sum differently.
+  Rig s(mesh::make_embedding_mesh(
+            {.n = 6, .squeeze = 8.0, .radius = 0.3, .center = {0.5, 0.5, 0.5}, .mat = {}}),
+        2);
+  ASSERT_GE(s.levels.num_levels, 3);
+  const auto part = s.make_partition(4);
+  const auto src = fine_source(s);
+  const auto u0 = s.initial();
+  const std::vector<real_t> v0(s.ndof, 0.0);
+
+  std::vector<real_t> first_u, first_trace;
+  for (const SchedulerMode mode : kAllSchedulerModes) {
+    ThreadedLtsSolver solver(*s.op, s.levels, s.structure, part, mode, kWarn);
+    solver.add_source(src);
+    const auto idx = solver.add_receiver(src.node, 0);
+    solver.set_state(u0, v0);
+    solver.run_cycles(5);
+    if (first_u.empty()) {
+      first_u = vec(solver.u());
+      first_trace = solver.traces()[idx].values;
+      ASSERT_EQ(first_trace.size(), 5u);
+      ASSERT_NE(first_trace.back(), 0.0) << "trace carries no signal";
+    } else {
+      EXPECT_EQ(first_u, vec(solver.u())) << to_string(mode);
+      EXPECT_EQ(first_trace, solver.traces()[idx].values) << to_string(mode);
+    }
+  }
+}
+
 TEST(Threaded, SeededStressCountersRaceFreeAndStateDeterministic) {
   // Concurrency stress for the TSan CI job (ctest -L race): while the steal
   // scheduler runs, a monitor thread hammers the atomic counter surface —
@@ -433,7 +459,7 @@ TEST(Threaded, SeededStressCountersRaceFreeAndStateDeterministic) {
   std::vector<real_t> reference_u;
   {
     ThreadedLtsSolver solver(*s.op, s.levels, s.structure, part,
-                             cfg_for(SchedulerMode::LevelAwareSteal));
+                             SchedulerMode::LevelAwareSteal, kWarn);
     solver.add_source(src);
     solver.set_state(zero, zero);
     solver.run_cycles(6);
@@ -441,7 +467,7 @@ TEST(Threaded, SeededStressCountersRaceFreeAndStateDeterministic) {
   }
 
   ThreadedLtsSolver solver(*s.op, s.levels, s.structure, part,
-                           cfg_for(SchedulerMode::LevelAwareSteal));
+                           SchedulerMode::LevelAwareSteal, kWarn);
   solver.add_source(src);
   solver.set_state(zero, zero);
   std::atomic<bool> done{false};
@@ -469,7 +495,7 @@ TEST(Threaded, BlocksAppliedCountsWholeCycleBlocks) {
   Rig s(mesh::make_strip_mesh(12, 0.4, 4.0));
   const auto part = s.make_partition(2);
   ThreadedLtsSolver solver(*s.op, s.levels, s.structure, part,
-                           cfg_for(SchedulerMode::LevelAware));
+                           SchedulerMode::LevelAware, kWarn);
   std::int64_t per_cycle = 0;
   for (rank_t r = 0; r < solver.num_ranks(); ++r)
     for (level_t k = 1; k <= s.levels.num_levels; ++k)
@@ -488,7 +514,9 @@ TEST(Threaded, OversubscriptionThrowsByDefault) {
   const auto n = static_cast<rank_t>(ThreadPool::hardware_threads());
   const auto part = s.make_partition(n + 1);
   SchedulerConfig strict; // default policy: Forbid
-  EXPECT_THROW(ThreadedLtsSolver(*s.op, s.levels, s.structure, part, strict), CheckFailure);
+  EXPECT_THROW(
+      ThreadedLtsSolver(*s.op, s.levels, s.structure, part, SchedulerMode::LevelAware, strict),
+      CheckFailure);
 }
 
 } // namespace

@@ -67,13 +67,14 @@ python3 - "$WORK/ref.ckpt" "$WORK/xresumed.ckpt" <<'EOF' || fail "cross-backend 
 import struct, sys
 
 def read_u(path):
-    # Header: 8B magic, u32 version, u64 payload size, u64 checksum. Payload
-    # starts with two length-prefixed strings (executor, config), then the
-    # length-prefixed u array (see src/resilience/checkpoint.cpp).
+    # Header: 8B magic, u32 version, 2 arch-tag bytes (byte order, real
+    # size), u64 payload size, u64 checksum. Payload starts with two
+    # length-prefixed strings (executor, config), then the length-prefixed u
+    # array (see src/resilience/checkpoint.cpp).
     with open(path, "rb") as f:
         raw = f.read()
     assert raw[:8] == b"LTSWCKPT", "bad magic in " + path
-    pos = 28
+    pos = 30
     for _ in range(2):  # executor, config strings
         (n,) = struct.unpack_from("<Q", raw, pos)
         pos += 8 + n
